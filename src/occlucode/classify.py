@@ -24,7 +24,6 @@ from .core import (
     ImageVector,
     SparseCoefficients,
     normalize_vector,
-    residual,
 )
 from .errors import DegenerateError, DimMismatchError
 from .solvers import SolverConfig, solve_group_bpdn, solve_l1_bpdn
@@ -88,21 +87,15 @@ def rdi(residuals: dict) -> float:
     return float(k * vals.min() / total)
 
 
-def _label_block_group(u, R, coef, blocks, other_labels):
-    """Residual per candidate block with every other-side block kept."""
-    out = {}
-    for b in blocks:
-        out[b.label] = residual(u, R, coef, {b.label} | other_labels)
-    return out
+def _residuals(target, parts, blocks):
+    """{label: ||target - parts[:, b]||} over the blocks, in block order."""
+    norms = np.linalg.norm(target[:, None] - parts, axis=0)
+    return {b.label: r for b, r in zip(blocks, norms.tolist())}
 
 
-def _argmin_label(residuals_by_label, blocks):
-    best_label, best = None, np.inf
-    for b in blocks:  # block order = deterministic tie-break
-        r = residuals_by_label[b.label]
-        if r < best:
-            best_label, best = b.label, r
-    return best_label
+def _argmin_label(residuals_by_label):
+    # dicts keep block order, so the first minimum is the deterministic pick
+    return min(residuals_by_label, key=residuals_by_label.get)
 
 
 def _safe_rdi(residuals_by_label):
@@ -129,11 +122,14 @@ def classify(
 def _decide(u, R, coef: SparseCoefficients, cfg) -> ClassificationOutcome:
     face_blocks = R.face_blocks
     occ_blocks = R.occlusion_blocks
-    face_labels = {b.label for b in face_blocks}
-    occ_labels = {b.label for b in occ_blocks}
+    # column b is block b's partial reconstruction R_b w_b; a candidate's
+    # residual keeps it and every block of the other side
+    parts = np.add.reduceat(R.atoms * coef.values, R.starts, axis=1)
+    face_parts = parts[:, : len(face_blocks)]
+    occ_parts = parts[:, len(face_blocks) :]
 
-    face_res = _label_block_group(u, R, coef, face_blocks, occ_labels)
-    face_label = _argmin_label(face_res, face_blocks)
+    face_res = _residuals(u.data - occ_parts.sum(axis=1), face_parts, face_blocks)
+    face_label = _argmin_label(face_res)
     rdi_face = _safe_rdi(face_res)
     if np.isfinite(rdi_face) and rdi_face > cfg.theta_face:
         face_label = ClassificationOutcome.REJECTED
@@ -142,8 +138,8 @@ def _decide(u, R, coef: SparseCoefficients, cfg) -> ClassificationOutcome:
     occ_label = ClassificationOutcome.NONE
     rdi_occ = float("nan")
     if len(occ_blocks) >= 2:
-        occ_res = _label_block_group(u, R, coef, occ_blocks, face_labels)
-        occ_label = _argmin_label(occ_res, occ_blocks)
+        occ_res = _residuals(u.data - face_parts.sum(axis=1), occ_parts, occ_blocks)
+        occ_label = _argmin_label(occ_res)
         rdi_occ = _safe_rdi(occ_res)
         if np.isfinite(rdi_occ) and rdi_occ > cfg.theta_occlusion:
             occ_label = ClassificationOutcome.REJECTED

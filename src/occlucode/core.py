@@ -77,6 +77,8 @@ class ImageVector:
         h, w = self.shape
         if d.size != h * w:
             raise DimMismatchError(f"length {d.size} != {h}*{w}")
+        if not np.all(np.isfinite(d)):
+            raise ValueError("vector values must be finite")
         if self.normalized and abs(np.linalg.norm(d) - 1.0) > NORM_TOL:
             raise ZeroNormError("vector flagged normalized but ||.|| != 1")
         object.__setattr__(self, "data", _freeze(d))
@@ -143,6 +145,8 @@ class BlockedDictionary:
                 raise ValueError("face blocks must precede occlusion blocks")
         if pos != n:
             raise ValueError(f"blocks cover {pos} columns, atoms have {n}")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("atoms must be finite")
         norms = np.linalg.norm(a, axis=0)
         if n and np.max(np.abs(norms - 1.0)) > NORM_TOL:
             raise ZeroNormError("all atoms must have unit l2 norm")
@@ -156,6 +160,12 @@ class BlockedDictionary:
     @property
     def n(self) -> int:
         return self.atoms.shape[1]
+
+    @property
+    def starts(self) -> np.ndarray:
+        """First column of each block, in block order: the partition that
+        block-wise reductions (np.add.reduceat) run over."""
+        return np.array([b.start for b in self.blocks], dtype=np.intp)
 
     @property
     def face_blocks(self) -> tuple[Block, ...]:

@@ -43,6 +43,8 @@ class OcclusionSampleSet:
         s = np.ascontiguousarray(self.samples, dtype=np.float64)
         if s.ndim != 2 or s.shape[1] < 1:
             raise EmptySamplesError("need at least one sample column")
+        if not np.all(np.isfinite(s)):
+            raise ValueError("samples must be finite")
         norms = np.linalg.norm(s, axis=0)
         if np.max(np.abs(norms - 1.0)) > 1e-9:
             raise ValueError("sample columns must be unit-norm")

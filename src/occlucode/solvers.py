@@ -1,18 +1,18 @@
 """Convex sparse-coding solvers.
 
-Two residual-constrained coding problems are supported over a blocked
-dictionary R:
+One residual-constrained block coder over a weighted partition of the
+columns of a dictionary R:
 
-  * plain l1:      min ||w||_1                      s.t. ||u - R w||_2 <= eps
-  * block/group:   min sum_b c_b ||w_b||_q          s.t. ||u - R w||_2 <= eps
+    min sum_b c_b ||w_b||_2    s.t. ||u - R w||_2 <= eps
 
-where face blocks get weight c_b = 1 and occlusion blocks get weight
-lambda. Both are handled by a monotone accelerated proximal-gradient
-scheme on the penalized form  mu * g(w) + 0.5 ||u - R w||^2  with an
-outer continuation on mu that steers the residual into a thin window
-just below eps.
+Group coding uses the dictionary's blocks, with weight c_b = 1 for face
+blocks and lambda for occlusion blocks. Plain l1 (all weights 1) and the
+weighted l1 of q_norm = 1 are its singleton-block cases. The problem is
+solved by a monotone accelerated proximal-gradient scheme (MFISTA) on the
+penalized form  mu * g(w) + 0.5 ||u - R w||^2  with an outer continuation
+on mu that steers the residual into a thin window just below eps.
 
-A third solver performs equality-constrained l1 error fitting
+A second solver performs equality-constrained l1 error fitting
 (l1 regression), used by the occlusion-mask estimator.
 """
 
@@ -33,7 +33,7 @@ from .errors import DimMismatchError, RankDeficientWarning
 class SolverConfig:
     epsilon: float = 0.05  # residual bound
     lam: float | None = None  # occlusion-group weight; None = derived from dict
-    q_norm: float = 2.0  # within-group norm
+    q_norm: float = 2.0  # within-group norm, 1 or 2
     max_iters: int = 2000  # inner iterations per penalized solve
     tol: float = 1e-6  # relative iterate-change tolerance
     resid_lower_frac: float = 0.9  # accept residual in [frac*eps, eps]
@@ -44,10 +44,14 @@ class SolverConfig:
             raise ValueError("epsilon must be >= 0")
         if self.lam is not None and self.lam <= 0:
             raise ValueError("lambda must be > 0")
-        if self.q_norm < 1:
-            raise ValueError("q_norm must be >= 1")
+        if self.q_norm not in (1.0, 2.0):
+            raise ValueError("q_norm must be 1 or 2")
         if self.max_iters < 1 or self.tol <= 0:
             raise ValueError("max_iters >= 1 and tol > 0 required")
+        if self.max_continuation < 1:
+            raise ValueError("max_continuation must be >= 1")
+        if not 0.0 <= self.resid_lower_frac <= 1.0:
+            raise ValueError("resid_lower_frac must lie in [0, 1]")
 
 
 @dataclass
@@ -70,19 +74,42 @@ def default_group_weight(dictionary: BlockedDictionary) -> float:
 
 
 # ---------------------------------------------------------------------------
+# the weighted block partition: block b is v[starts[b]:starts[b + 1]] with
+# weight weights[b]; singleton blocks make the penalty a (weighted) l1 norm
+
+
+_TINY = np.finfo(float).tiny
+
+
+def _block_norms(v, starts):
+    return np.sqrt(np.add.reduceat(v * v, starts))
+
+
+def block_penalty(w, starts, weights) -> float:
+    """sum_b c_b ||w_b||_2."""
+    return float(weights @ _block_norms(w, starts))
+
+
+def block_prox(v, t, starts, sizes, weights) -> np.ndarray:
+    """Prox of t * block_penalty: shrink each block's norm by t * c_b.
+
+    ``sizes`` are the block lengths. On singleton blocks this is soft
+    thresholding at t * c_b."""
+    norms = np.maximum(_block_norms(v, starts), _TINY)
+    scale = np.maximum(0.0, 1.0 - t * weights / norms)
+    return v * np.repeat(scale, sizes)
+
+
+# ---------------------------------------------------------------------------
 # penalized inner solver (monotone FISTA)
 
 
-def _mfista(R, RtR, Rtu, u_sq, w0, mu, prox, penalty, max_iters, tol):
+def _mfista(R, RtR, Rtu, u, w0, mu, step, prox, penalty, max_iters, tol):
     """Minimize mu*g(w) + 0.5||u - Rw||^2; returns (w, trace, iters)."""
-    L = np.linalg.eigvalsh(RtR)[-1] if RtR.shape[0] <= 400 else _power_norm(RtR)
-    step = 1.0 / max(L, 1e-12)
-
-    def smooth(w):
-        return 0.5 * (w @ (RtR @ w) - 2.0 * (Rtu @ w) + u_sq)
 
     def total(w):
-        return smooth(w) + mu * penalty(w)
+        r = u - R @ w
+        return 0.5 * (r @ r) + mu * penalty(w)
 
     x = w0.copy()
     y = x.copy()
@@ -108,73 +135,15 @@ def _mfista(R, RtR, Rtu, u_sq, w0, mu, prox, penalty, max_iters, tol):
     return x, trace, it
 
 
-def _power_norm(RtR, iters=100):
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(RtR.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 1.0
-    for _ in range(iters):
-        w = RtR @ v
-        lam = np.linalg.norm(w)
-        if lam == 0:
-            return 1.0
-        v = w / lam
-    return lam
-
-
-def _soft_threshold(v, t):
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
-
-
-def _make_l1(dictionary):
-    def prox(v, t):
-        return _soft_threshold(v, t)
-
-    def penalty(w):
-        return float(np.abs(w).sum())
-
-    return prox, penalty
-
-
-def _make_group(dictionary, lam, q):
-    blocks = [(b.cols, 1.0 if b.kind == FACE else lam) for b in dictionary.blocks]
-    if q == 1.0:
-        weights = np.empty(dictionary.n)
-        for cols, c in blocks:
-            weights[cols] = c
-
-        def prox(v, t):
-            return _soft_threshold(v, t * weights)
-
-        def penalty(w):
-            return float(np.abs(w) @ weights)
-
-        return prox, penalty
-    if q != 2.0:
-        raise NotImplementedError("group solver supports q in {1, 2}")
-
-    def prox(v, t):
-        out = v.copy()
-        for cols, c in blocks:
-            nrm = np.linalg.norm(v[cols])
-            if nrm <= t * c:
-                out[cols] = 0.0
-            else:
-                out[cols] = v[cols] * (1.0 - t * c / nrm)
-        return out
-
-    def penalty(w):
-        return float(sum(c * np.linalg.norm(w[cols]) for cols, c in blocks))
-
-    return prox, penalty
-
-
-def _solve_bpdn(u, dictionary, cfg, prox, penalty, mu_max):
+def _solve_bpdn(u, dictionary, cfg, starts, weights):
     """Continuation loop steering the residual into [frac*eps, eps]."""
     R = dictionary.atoms
     eps = cfg.epsilon
     u_norm = np.linalg.norm(u)
     ident = dictionary.fingerprint
+    Rtu = R.T @ u
+    # smallest mu for which w = 0 is optimal
+    mu_max = float(np.max(_block_norms(Rtu, starts) / weights, initial=0.0))
 
     if u_norm <= eps or mu_max == 0.0:
         w = np.zeros(dictionary.n)
@@ -183,8 +152,14 @@ def _solve_bpdn(u, dictionary, cfg, prox, penalty, mu_max):
         )
 
     RtR = R.T @ R
-    Rtu = R.T @ u
-    u_sq = float(u @ u)
+    step = 1.0 / max(np.linalg.eigvalsh(RtR)[-1], 1e-12)
+    sizes = np.diff(starts, append=dictionary.n)
+
+    def prox(v, t):
+        return block_prox(v, t, starts, sizes, weights)
+
+    def penalty(w):
+        return block_penalty(w, starts, weights)
 
     # residual target window; eps = 0 means "as exact as the tolerance allows"
     hi = eps if eps > 0 else cfg.tol
@@ -192,14 +167,14 @@ def _solve_bpdn(u, dictionary, cfg, prox, penalty, mu_max):
 
     w = np.zeros(dictionary.n)
     total_iters = 0
-    best = None  # (resid, w, trace) with resid <= hi, largest mu seen
+    best = None  # (mu, w, resid, trace) with resid <= hi, largest mu seen
     log_hi = np.log10(mu_max)
     log_lo = log_hi - 14.0
     bracket = [log_lo, log_hi]
     mu = 10.0 ** (log_hi - 2.0)
     for _ in range(cfg.max_continuation):
         w, trace, it = _mfista(
-            R, RtR, Rtu, u_sq, w, mu, prox, penalty, cfg.max_iters, cfg.tol
+            R, RtR, Rtu, u, w, mu, step, prox, penalty, cfg.max_iters, cfg.tol
         )
         total_iters += it
         resid = float(np.linalg.norm(u - R @ w))
@@ -217,30 +192,23 @@ def _solve_bpdn(u, dictionary, cfg, prox, penalty, mu_max):
 
     if best is None:
         # never reached feasibility; report the last iterate honestly
-        resid = float(np.linalg.norm(u - R @ w))
-        return SolveReport(
-            SparseCoefficients(w, ident),
-            total_iters,
-            resid,
-            penalty(w),
-            resid <= hi + cfg.tol,
-            trace,
-        )
-    _, w, resid, trace = best
+        converged = resid <= hi + cfg.tol
+    else:
+        _, w, resid, trace = best
+        converged = True
     return SolveReport(
-        SparseCoefficients(w, ident), total_iters, resid, penalty(w), True, trace
+        SparseCoefficients(w, ident), total_iters, resid, penalty(w), converged, trace
     )
 
 
 def solve_l1_bpdn(
     u: ImageVector, dictionary: BlockedDictionary, cfg: SolverConfig
 ) -> SolveReport:
-    """min ||w||_1 s.t. ||u - R w||_2 <= eps."""
+    """min ||w||_1 s.t. ||u - R w||_2 <= eps: singleton blocks of weight 1."""
     if u.m != dictionary.m:
         raise DimMismatchError(f"u has m={u.m}, dictionary has m={dictionary.m}")
-    prox, penalty = _make_l1(dictionary)
-    mu_max = float(np.max(np.abs(dictionary.atoms.T @ u.data), initial=0.0))
-    return _solve_bpdn(u.data, dictionary, cfg, prox, penalty, mu_max)
+    n = dictionary.n
+    return _solve_bpdn(u.data, dictionary, cfg, np.arange(n), np.ones(n))
 
 
 def solve_group_bpdn(
@@ -248,21 +216,20 @@ def solve_group_bpdn(
 ) -> SolveReport:
     """min sum_b c_b ||w_b||_q s.t. ||u - R w||_2 <= eps.
 
-    Face blocks have weight 1, occlusion blocks weight lambda.
+    Face blocks have weight 1, occlusion blocks weight lambda. q = 1 is
+    the same weights spread over singleton blocks.
     """
     if u.m != dictionary.m:
         raise DimMismatchError(f"u has m={u.m}, dictionary has m={dictionary.m}")
     if not dictionary.blocks:
         raise DimMismatchError("dictionary has no blocks")
     lam = cfg.lam if cfg.lam is not None else default_group_weight(dictionary)
-    prox, penalty = _make_group(dictionary, lam, cfg.q_norm)
-    mu_max = 0.0
-    for b in dictionary.blocks:
-        c = 1.0 if b.kind == FACE else lam
-        g = dictionary.atoms[:, b.cols].T @ u.data
-        nrm = np.max(np.abs(g)) if cfg.q_norm == 1.0 else np.linalg.norm(g)
-        mu_max = max(mu_max, nrm / c)
-    return _solve_bpdn(u.data, dictionary, cfg, prox, penalty, mu_max)
+    starts = dictionary.starts
+    weights = np.array([1.0 if b.kind == FACE else lam for b in dictionary.blocks])
+    if cfg.q_norm == 1.0:
+        weights = np.repeat(weights, np.diff(starts, append=dictionary.n))
+        starts = np.arange(dictionary.n)
+    return _solve_bpdn(u.data, dictionary, cfg, starts, weights)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ train -> classify / roc / sweep, plus exit codes and determinism."""
 
 import hashlib
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -312,3 +313,24 @@ def test_exit_code_bad_config(tmp_path, corpus):
          "--config", str(cfg)]
     )
     assert rc == 1
+
+
+def test_exit_code_unsupported_q_norm(corpus, occdict, tmp_path):
+    rc = main(
+        ["classify", "--corpus", corpus, "--occdict", occdict,
+         "--out", str(tmp_path / "o"), "--q-norm", "3"]
+    )
+    assert rc == 2
+
+
+def test_exit_code_non_finite_dictionary(corpus, occdict, tmp_path):
+    bad = str(tmp_path / "occdict_nan")
+    shutil.copy(occdict + ".json", bad + ".json")
+    values = np.fromfile(occdict + ".f64", dtype="<f8")
+    values[3] = np.nan
+    values.tofile(bad + ".f64")
+    rc = main(
+        ["classify", "--corpus", corpus, "--occdict", bad,
+         "--out", str(tmp_path / "o")]
+    )
+    assert rc == 2

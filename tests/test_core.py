@@ -141,6 +141,7 @@ def test_block_partition_sums_to_identity(rng):
     coef = SparseCoefficients(rng.standard_normal(9))
     total = sum(block_select(coef, d, lbl).values for lbl in ("a", "b", "c"))
     assert np.allclose(total, coef.values)
+    assert d.starts.tolist() == [0, 3, 7]
 
 
 def test_dictionary_invariants():
@@ -155,6 +156,16 @@ def test_dictionary_invariants():
         )
     with pytest.raises(ZeroNormError):
         BlockedDictionary(np.eye(3) * 2.0, (Block("x", FACE, 0, 3),))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dictionary_and_vector_reject_non_finite(bad):
+    atoms = np.eye(3)
+    atoms[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        BlockedDictionary(atoms, (Block("x", FACE, 0, 3),))
+    with pytest.raises(ValueError, match="finite"):
+        ImageVector(atoms[:, 2], (1, 3), normalized=True)
 
 
 def test_dictionary_is_immutable(rng):

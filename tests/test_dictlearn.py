@@ -150,6 +150,13 @@ def test_build_sample_set_all_zero_raises():
             build_sample_set([zero], "c", "soc", True)
 
 
+def test_sample_set_rejects_non_finite():
+    samples = np.eye(3)
+    samples[0, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        OcclusionSampleSet(samples, "c", "soc", True)
+
+
 # ---------------------------------------------------------------------------
 # K-SVD
 

@@ -19,7 +19,7 @@ from occlucode import (
 )
 from occlucode.core import FACE, normalize_columns
 from occlucode.errors import DimMismatchError, RankDeficientWarning
-from occlucode.solvers import l1_regression
+from occlucode.solvers import block_penalty, block_prox, l1_regression
 
 from conftest import random_dictionary
 
@@ -238,10 +238,73 @@ def test_group_q1_is_weighted_l1(rng):
     assert rep.final_residual <= cfg.epsilon + cfg.tol
 
 
-def test_group_rejects_unsupported_q(rng):
-    d = random_dictionary(rng, 6, 6, [("a", 3), ("b", 3)])
-    with pytest.raises(NotImplementedError):
-        solve_group_bpdn(vec(np.ones(6) / 6), d, SolverConfig(q_norm=3.0))
+def test_group_rejects_unsupported_q():
+    with pytest.raises(ValueError):
+        SolverConfig(q_norm=3.0)
+
+
+@pytest.mark.parametrize(
+    "field", [{"max_continuation": 0}, {"resid_lower_frac": -0.1},
+              {"resid_lower_frac": 1.5}]
+)
+def test_config_rejects_out_of_range(field):
+    with pytest.raises(ValueError):
+        SolverConfig(**field)
+
+
+# ---------------------------------------------------------------------------
+# block prox
+
+
+def loop_prox(v, t, starts, weights):
+    """Reference: group shrinkage one block at a time."""
+    out = v.copy()
+    bounds = list(starts) + [v.size]
+    for b, c in enumerate(weights):
+        cols = slice(bounds[b], bounds[b + 1])
+        nrm = np.linalg.norm(v[cols])
+        if nrm <= t * c:
+            out[cols] = 0.0
+        else:
+            out[cols] = v[cols] * (1.0 - t * c / nrm)
+    return out
+
+
+def test_block_prox_matches_loop(rng):
+    for _ in range(50):
+        n = int(rng.integers(1, 40))
+        starts = np.flatnonzero(np.r_[True, rng.random(n - 1) < 0.3])
+        stops = np.append(starts[1:], n)
+        weights = rng.uniform(0.2, 2.0, starts.size)
+        v = rng.standard_normal(n)
+        zero = rng.integers(starts.size)  # one all-zero block
+        v[starts[zero] : stops[zero]] = 0.0
+        t = float(rng.uniform(0.05, 1.5))
+        got = block_prox(v, t, starts, stops - starts, weights)
+        assert np.allclose(got, loop_prox(v, t, starts, weights), rtol=1e-14, atol=1e-15)
+        penalty = sum(c * np.linalg.norm(v[a:b]) for a, b, c in zip(starts, stops, weights))
+        assert block_penalty(v, starts, weights) == pytest.approx(penalty, rel=1e-14)
+
+
+def test_block_prox_norm_equal_to_threshold_is_zero():
+    # ||(3, 4)|| = 5 = t * c exactly; the other block survives
+    v = np.array([3.0, 4.0, 1.0, 0.0])
+    starts = np.array([0, 2])
+    weights = np.array([2.0, 1.0])
+    got = block_prox(v, 2.5, starts, np.array([2, 2]), weights)
+    assert np.array_equal(got[:2], [0.0, 0.0])
+    assert np.array_equal(got, loop_prox(v, 2.5, starts, weights))
+
+
+def test_block_prox_singletons_soft_threshold(rng):
+    v = rng.standard_normal(30)
+    v[:3] = 0.0
+    weights = rng.uniform(0.5, 1.5, 30)
+    got = block_prox(v, 0.4, np.arange(30), np.ones(30, int), weights)
+    soft = np.sign(v) * np.maximum(np.abs(v) - 0.4 * weights, 0.0)
+    assert np.allclose(got, soft, rtol=1e-14, atol=1e-16)
+    assert block_penalty(v, np.arange(30), weights) == pytest.approx(
+        np.abs(v) @ weights, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
