@@ -3,15 +3,23 @@
 Commands: synth | collect | train | classify | roc | sweep
 Common flags: --config PATH, --seed N, --out DIR, --debug
 
-Configuration files are line-oriented ``key=value`` text with ``#``
-comments; explicit command-line flags override file values. Exit codes:
-0 success, 1 usage error, 2 data error, 3 numerical failure.
+Each command's parser is the one place that knows its options, their
+types, choices and defaults. A configuration file holds ``key = value``
+lines with ``#`` comments; each key must name one of the command's options
+exactly (``q-norm`` for ``--q-norm``). The command's parser reads the file's
+values as ``--key=value`` placed ahead of the explicit flags, so explicit
+flags win and a repeatable option (``occdict``, ``samples``) adds the
+file's value to those on the command line. Abbreviated flags are not
+accepted. Exit codes: 0 success, 1 usage error (including an unknown
+config key or a value its option rejects), 2 data error, 3 numerical
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import os
 import sys
 import time
@@ -27,11 +35,12 @@ from .classify import (
     classify_src_baseline,
 )
 from .core import (
+    FACE,
+    Block,
     BlockedDictionary,
     ImageVector,
     downsample_dictionary,
     downsample_vector,
-    normalize_columns,
     normalize_vector,
     vectorize,
 )
@@ -44,15 +53,14 @@ from .dictlearn import (
     collect_ssrc,
     ksvd_train_with_trace,
 )
-from .errors import DegenerateError, OcclucodeError, ZeroPatternError
+from .errors import DegenerateError, FormatError, OcclucodeError, ZeroPatternError
 from .imageio import (
-    FormatError,
+    load_dictionary,
     load_matrix,
     read_manifest,
     read_pgm,
     save_dictionary,
     save_matrix,
-    load_dictionary,
 )
 from .maskest import MaskEstimatorConfig
 from .solvers import SolverConfig
@@ -83,23 +91,19 @@ def read_config(path: str) -> dict:
     return values
 
 
-class Options:
-    """Merged view of CLI flags over config-file values over defaults."""
+def with_config(argv: list[str], command: str, path: str) -> list[str]:
+    """argv with the config file's values inserted after the command name
+    as ``--key=value``, ahead of the explicit flags, which therefore win."""
+    i = argv.index(command) + 1
+    values = [f"--{key}={val}" for key, val in read_config(path).items()]
+    return argv[:i] + values + argv[i:]
 
-    def __init__(self, args):
-        self.args = args
-        self.cfg = read_config(args.config) if args.config else {}
 
-    def get(self, key, default, cast=str):
-        flag = getattr(self.args, key.replace("-", "_"), None)
-        if flag is not None:
-            return flag
-        if key in self.cfg:
-            raw = self.cfg[key]
-            if cast is bool:
-                return raw.lower() in ("1", "true", "yes")
-            return cast(raw)
-        return default
+def from_options(cls, args, **given):
+    """A config dataclass built from the options named like its fields,
+    plus the ``given`` fields."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{k: v for k, v in vars(args).items() if k in names}, **given)
 
 
 def parse_shapes(text: str) -> tuple:
@@ -158,7 +162,7 @@ class StageTimer:
 
 
 # ---------------------------------------------------------------------------
-# corpus helpers
+# loading at the boundary
 
 
 def load_gallery(corpus_dir: str):
@@ -176,8 +180,6 @@ def load_gallery(corpus_dir: str):
         )
     if not by_label:
         raise FormatError(f"{corpus_dir}: manifest has no gallery rows")
-    from .core import FACE, Block
-
     cols, blocks, pos = [], [], 0
     for label, vecs in by_label.items():
         cols.extend(vecs)
@@ -193,66 +195,64 @@ def load_image_vector(corpus_dir, row, shape) -> ImageVector:
     return vectorize(g)
 
 
+def at_features(dictionary: BlockedDictionary, shape, features) -> BlockedDictionary:
+    """A dictionary whose atoms lie on the shape grid, downsampled to the
+    features resolution (None keeps the grid)."""
+    if features in (None, shape):
+        return dictionary
+    return downsample_dictionary(dictionary, shape, *features)
+
+
+def load_probes(corpus: str, features):
+    """The gallery and the unit-norm test and invalid images of a corpus at
+    the features resolution; returns (gallery, [(row, vector)], shape) with
+    the images' own shape."""
+    gallery, shape, rows = load_gallery(corpus)
+    probes = [
+        (row, load_image_vector(corpus, row, shape))
+        for row in rows
+        if row["role"] in ("test", "invalid")
+    ]
+    if features not in (None, shape):
+        probes = [(row, downsample_vector(u, *features)) for row, u in probes]
+    probes = [(row, normalize_vector(u)) for row, u in probes]
+    return at_features(gallery, shape, features), probes, shape
+
+
+def load_sample_sets(prefixes) -> list[OcclusionSampleSet]:
+    sample_sets = []
+    for prefix in prefixes:
+        mat, meta = load_matrix(prefix)
+        sample_sets.append(
+            OcclusionSampleSet(
+                mat,
+                meta.get("category", "occlusion"),
+                meta.get("strategy", "soc"),
+                bool(meta.get("labeled", True)),
+            )
+        )
+    return sample_sets
+
+
 # ---------------------------------------------------------------------------
 # commands
 
 
 def cmd_synth(args) -> int:
-    opt = Options(args)
-    spec = SynthSpec(
-        classes=opt.get("classes", 20, int),
-        samples_per_class=opt.get("samples-per-class", 5, int),
-        height=opt.get("height", 30, int),
-        width=opt.get("width", 24, int),
-        subspace_dim=opt.get("subspace-dim", 3, int),
-        occlusion_shapes=opt.get("shapes", (), parse_shapes),
-        noise_sigma=opt.get("noise-sigma", 0.0, float),
-        seed=opt.get("seed", 0, int),
-        test_per_class=opt.get("test-per-class", None, int),
-    )
-    plan = CorpusPlan(
-        collect_classes=opt.get("collect-classes", 0, int),
-        collect_per_class=opt.get("collect-per-class", 3, int),
-        test_shapes=opt.get(
-            "test-shapes", (), lambda s: tuple(x for x in s.split(",") if x)
-        ),
-        invalid_classes=opt.get("invalid-classes", 0, int),
-        invalid_per_class=opt.get("invalid-per-class", 2, int),
-        unknown_shapes=opt.get("unknown-shapes", (), parse_shapes),
-    )
-    manifest = generate_corpus(spec, plan, args.out)
-    print(manifest)
+    spec = from_options(SynthSpec, args)
+    plan = from_options(CorpusPlan, args)
+    print(generate_corpus(spec, plan, args.out))
     return 0
 
 
-def _mask_config(opt) -> MaskEstimatorConfig:
-    return MaskEstimatorConfig(
-        h=opt.get("h", 20, int),
-        beta=opt.get("beta", 20.0, float),
-        tau_schedule=opt.get(
-            "tau-schedule",
-            parse_taus("0.005,0.0045,0.004,0.0035,0.003,0.0025,0.002"),
-            parse_taus,
-        ),
-        max_outer_iters=opt.get("max-outer-iters", 20, int),
-        neighborhood=opt.get("neighborhood", "4-connected", str),
-        min_support_fraction=opt.get("min-support-fraction", 0.05, float),
-    )
-
-
 def cmd_collect(args) -> int:
-    opt = Options(args)
-    strategy = opt.get("strategy", "soc", str)
-    if strategy not in ("soc", "ssrc", "esrc"):
-        raise UsageError(f"unknown strategy {strategy!r}")
-    labeled = opt.get("labeled", True, bool)
     corpus = args.corpus
     timer = StageTimer()
     os.makedirs(args.out, exist_ok=True)
 
     with timer.time("load"):
         gallery, shape, rows = load_gallery(corpus)
-    mask_cfg = _mask_config(opt)
+    mask_cfg = from_options(MaskEstimatorConfig, args)
     rejected = []
     by_category: dict[str, list] = {}
     with timer.time("collect"):
@@ -260,20 +260,17 @@ def cmd_collect(args) -> int:
             if row["role"] != "collect":
                 continue
             u = normalize_vector(load_image_vector(corpus, row, shape))
-            label = row["face_label"] if labeled else None
+            label = row["face_label"] if args.labeled else None
             category = row["occlusion_label"]
             try:
-                if strategy == "soc":
+                if args.strategy == "soc":
                     debug_dir = (
                         os.path.join(args.out, "debug", os.path.splitext(row["path"])[0])
                         if args.debug
                         else None
                     )
-                    if debug_dir is not None:
-                        pattern = _collect_soc_debug(u, gallery, label, mask_cfg, debug_dir)
-                    else:
-                        pattern = collect_soc(u, gallery, label, mask_cfg)
-                elif strategy == "ssrc":
+                    pattern = collect_soc(u, gallery, label, mask_cfg, debug_dir)
+                elif args.strategy == "ssrc":
                     sub = (
                         gallery.subdict(label)
                         if label is not None
@@ -293,14 +290,14 @@ def cmd_collect(args) -> int:
 
     with timer.time("write"):
         for category, patterns in by_category.items():
-            sample_set = build_sample_set(patterns, category, strategy, labeled)
+            sample_set = build_sample_set(patterns, category, args.strategy, args.labeled)
             save_matrix(
                 os.path.join(args.out, f"samples_{category}"),
                 sample_set.samples,
                 extra={
                     "category": category,
-                    "strategy": strategy,
-                    "labeled": labeled,
+                    "strategy": args.strategy,
+                    "labeled": args.labeled,
                     "height": shape[0],
                     "width": shape[1],
                 },
@@ -316,33 +313,12 @@ def cmd_collect(args) -> int:
     return 0
 
 
-def _collect_soc_debug(u, gallery, label, mask_cfg, debug_dir):
-    from .maskest import build_lcd, estimate_mask, extract_pattern
-
-    basis = gallery.subdict(label) if label is not None else build_lcd(u, gallery, mask_cfg.h)
-    est = estimate_mask(u, basis, mask_cfg, debug_dir=debug_dir)
-    return extract_pattern(u, basis, est)
-
-
 def cmd_train(args) -> int:
-    opt = Options(args)
-    cfg = KsvdConfig(
-        atom_count=opt.get("atoms", 30, int),
-        sparsity_budget=opt.get("sparsity-budget", 4, int),
-        iterations=opt.get("iterations", 20, int),
-        seed=opt.get("seed", 0, int),
-    )
+    cfg = from_options(KsvdConfig, args)
     timer = StageTimer()
     os.makedirs(args.out, exist_ok=True)
     with timer.time("train"):
-        for prefix in args.samples:
-            mat, meta = load_matrix(prefix)
-            sample_set = OcclusionSampleSet(
-                mat,
-                meta.get("category", "occlusion"),
-                meta.get("strategy", "soc"),
-                bool(meta.get("labeled", True)),
-            )
+        for sample_set in load_sample_sets(args.samples):
             dictionary, trace = ksvd_train_with_trace(sample_set, cfg)
             out_prefix = os.path.join(args.out, f"occdict_{sample_set.category}")
             save_dictionary(out_prefix, dictionary)
@@ -356,61 +332,36 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _solver_config(opt) -> SolverConfig:
-    return SolverConfig(
-        epsilon=opt.get("epsilon", 0.05, float),
-        lam=opt.get("lam", None, float),
-        q_norm=opt.get("q-norm", 2.0, float),
-        max_iters=opt.get("max-iters", 2000, int),
-        tol=opt.get("tol", 1e-6, float),
+def run_classification(gallery, occ_dicts, probes, args):
+    """Classify each (row, vector) probe over the gallery and the occlusion
+    dictionaries, all at the probes' resolution; returns (row, outcome)
+    pairs."""
+    cfg = from_options(
+        ClassifierConfig,
+        args,
+        sparsity_mode=STRUCTURED if args.mode == STRUCTURED else L1,
+        solver=from_options(SolverConfig, args),
+        baseline_identity_occlusion=(args.mode == SRC_MODE),
     )
+    if args.mode == SRC_MODE:
+        return [(row, classify_src_baseline(u, gallery, cfg)) for row, u in probes]
+    compound = build_compound([gallery], occ_dicts)
+    return [(row, classify(u, compound, cfg)) for row, u in probes]
 
 
-def _load_occdicts(prefixes) -> list[BlockedDictionary]:
-    return [load_dictionary(p) for p in prefixes]
+def classify_corpus(args):
+    """Classify the corpus over its gallery and the --occdict dictionaries;
+    returns (records, occlusion categories)."""
+    gallery, probes, shape = load_probes(args.corpus, args.features)
+    occ_dicts = [at_features(load_dictionary(p), shape, args.features) for p in args.occdict]
+    records = run_classification(gallery, occ_dicts, probes, args)
+    return records, [b.label for d in occ_dicts for b in d.blocks]
 
 
-def _downsample_setup(gallery, occ_dicts, shape, feat_hw):
-    if feat_hw is None or feat_hw == shape:
-        return gallery, occ_dicts, shape
-    th, tw = feat_hw
-    gallery = downsample_dictionary(gallery, shape, th, tw)
-    occ_dicts = [downsample_dictionary(d, shape, th, tw) for d in occ_dicts]
-    return gallery, occ_dicts, (th, tw)
-
-
-def run_classification(corpus, occdict_prefixes, mode, opt, debug=False):
-    """Classify every test/invalid image; returns (records, categories)."""
-    gallery, shape, rows = load_gallery(corpus)
-    occ_dicts = _load_occdicts(occdict_prefixes)
-    feat = opt.get("features", None, parse_hw)
-    gallery, occ_dicts, feat_shape = _downsample_setup(gallery, occ_dicts, shape, feat)
-    solver = _solver_config(opt)
-    cfg = ClassifierConfig(
-        sparsity_mode=STRUCTURED if mode == STRUCTURED else L1,
-        solver=solver,
-        theta_face=opt.get("theta-face", 0.9, float),
-        theta_occlusion=opt.get("theta-occlusion", 0.9, float),
-        baseline_identity_occlusion=(mode == SRC_MODE),
-    )
-    compound = None
-    if mode != SRC_MODE:
-        compound = build_compound([gallery], occ_dicts)
-    records = []
-    for row in rows:
-        if row["role"] not in ("test", "invalid"):
-            continue
-        u = load_image_vector(corpus, row, shape)
-        if feat_shape != shape:
-            u = downsample_vector(u, *feat_shape)
-        u = normalize_vector(u)
-        if mode == SRC_MODE:
-            outcome = classify_src_baseline(u, gallery, cfg)
-        else:
-            outcome = classify(u, compound, cfg)
-        records.append((row, outcome))
-    categories = [b.label for d in occ_dicts for b in d.blocks]
-    return records, categories
+def count_correct(records) -> tuple[int, int]:
+    """(test images given their true face label, test images)."""
+    test = [(r, o) for r, o in records if r["role"] == "test"]
+    return sum(o.face_label == r["face_label"] for r, o in test), len(test)
 
 
 def _result_rows(records, debug):
@@ -448,26 +399,15 @@ def _result_rows(records, debug):
 
 
 def cmd_classify(args) -> int:
-    opt = Options(args)
-    mode = opt.get("mode", STRUCTURED, str)
-    if mode not in (L1, STRUCTURED, SRC_MODE):
-        raise UsageError(f"unknown mode {mode!r}")
     timer = StageTimer()
     os.makedirs(args.out, exist_ok=True)
     with timer.time("classify"):
-        records, _ = run_classification(
-            args.corpus, args.occdict, mode, opt, debug=args.debug
-        )
+        records, _ = classify_corpus(args)
     header, rows = _result_rows(records, args.debug)
     out_path = os.path.join(args.out, "results.csv")
     write_csv(out_path, header, rows)
     timer.write(args.out)
-    n_test = sum(1 for r, _ in records if r["role"] == "test")
-    correct = sum(
-        1
-        for r, o in records
-        if r["role"] == "test" and o.face_label == r["face_label"]
-    )
+    correct, n_test = count_correct(records)
     if n_test:
         print(f"accuracy {correct}/{n_test} = {correct / n_test:.4f}")
     print(out_path)
@@ -475,14 +415,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_roc(args) -> int:
-    opt = Options(args)
-    mode = opt.get("mode", STRUCTURED, str)
-    if mode not in (L1, STRUCTURED, SRC_MODE):
-        raise UsageError(f"unknown mode {mode!r}")
     timer = StageTimer()
     os.makedirs(args.out, exist_ok=True)
     with timer.time("classify"):
-        records, categories = run_classification(args.corpus, args.occdict, mode, opt)
+        records, categories = classify_corpus(args)
 
     face_valid, face_invalid, occ_valid, occ_invalid = [], [], [], []
     for row, outcome in records:
@@ -527,51 +463,23 @@ def cmd_roc(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    opt = Options(args)
-    mode = opt.get("mode", STRUCTURED, str)
-    sizes = [int(s) for s in opt.get("sizes", "2,3,5,7,10,20,30,40,50,60", str).split(",")]
-    ksvd_seed = opt.get("seed", 0, int)
-    budget = opt.get("sparsity-budget", 4, int)
-    iterations = opt.get("iterations", 20, int)
     timer = StageTimer()
     os.makedirs(args.out, exist_ok=True)
-
-    sample_sets = []
-    for prefix in args.samples:
-        mat, meta = load_matrix(prefix)
-        sample_sets.append(
-            OcclusionSampleSet(
-                mat,
-                meta.get("category", "occlusion"),
-                meta.get("strategy", "soc"),
-                bool(meta.get("labeled", True)),
-            )
-        )
+    with timer.time("load"):
+        sample_sets = load_sample_sets(args.samples)
+        gallery, probes, shape = load_probes(args.corpus, args.features)
 
     rows = []
     with timer.time("sweep"):
-        for size in sizes:
-            prefixes = []
-            if size > 0:
-                for s in sample_sets:
-                    cfg = KsvdConfig(
-                        atom_count=min(size, s.p),
-                        sparsity_budget=budget,
-                        iterations=iterations,
-                        seed=ksvd_seed,
-                    )
-                    dictionary, _ = ksvd_train_with_trace(s, cfg)
-                    prefix = os.path.join(args.out, f"_tmp_{s.category}_{size}")
-                    save_dictionary(prefix, dictionary)
-                    prefixes.append(prefix)
-            records, _ = run_classification(args.corpus, prefixes, mode, opt)
-            test = [(r, o) for r, o in records if r["role"] == "test"]
-            correct = sum(1 for r, o in test if o.face_label == r["face_label"])
-            acc = correct / len(test) if test else 0.0
-            rows.append([size, float(acc)])
-            for prefix in prefixes:
-                os.remove(prefix + ".json")
-                os.remove(prefix + ".f64")
+        for size in args.sizes:
+            occ_dicts = []
+            for s in sample_sets if size > 0 else []:
+                cfg = from_options(KsvdConfig, args, atom_count=min(size, s.p))
+                dictionary, _ = ksvd_train_with_trace(s, cfg)
+                occ_dicts.append(at_features(dictionary, shape, args.features))
+            records = run_classification(gallery, occ_dicts, probes, args)
+            correct, n_test = count_correct(records)
+            rows.append([size, correct / n_test if n_test else 0.0])
     out_path = os.path.join(args.out, "sweep.csv")
     write_csv(out_path, ["occlusion_atoms", "accuracy"], rows)
     timer.write(args.out)
@@ -588,80 +496,93 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _flag(text: str) -> bool:
+    return text.lower() in ("1", "true", "yes")
+
+
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(x for x in text.split(",") if x)
+
+
+def _sizes(text: str) -> list[int]:
+    return [int(s) for s in text.split(",")]
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="occlucode", description=__doc__)
+    """One parser per command. Option names are the config keys; options
+    named like the fields of a config dataclass fill those fields."""
+    parser = _Parser(prog="occlucode", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_out=True):
-        p.add_argument("--config", help="key=value config file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", required=need_out, help="output directory")
+    def command(name, help):
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.add_argument("--config", help="key = value config file")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--debug", action="store_true")
+        return p
 
-    p = sub.add_parser("synth", help="generate a synthetic corpus")
-    common(p)
-    for flag, typ in [
-        ("--classes", int), ("--samples-per-class", int), ("--test-per-class", int),
-        ("--height", int), ("--width", int), ("--subspace-dim", int),
-        ("--noise-sigma", float), ("--collect-classes", int),
-        ("--collect-per-class", int), ("--invalid-classes", int),
-        ("--invalid-per-class", int),
+    def ksvd(p):
+        p.add_argument("--sparsity-budget", type=int, default=4)
+        p.add_argument("--iterations", type=int, default=20)
+
+    p = command("synth", "generate a synthetic corpus")
+    for flag, typ, default in [
+        ("--classes", int, 20), ("--samples-per-class", int, 5),
+        ("--test-per-class", int, None), ("--height", int, 30),
+        ("--width", int, 24), ("--subspace-dim", int, 3),
+        ("--noise-sigma", float, 0.0), ("--collect-classes", int, 0),
+        ("--collect-per-class", int, 3), ("--invalid-classes", int, 0),
+        ("--invalid-per-class", int, 2),
     ]:
-        p.add_argument(flag, type=typ, default=None)
-    p.add_argument("--shapes", type=parse_shapes, default=None,
-                   help="name:kind:fraction[,...]")
-    p.add_argument("--unknown-shapes", type=parse_shapes, default=None)
-    p.add_argument("--test-shapes", type=lambda s: tuple(x for x in s.split(",") if x),
-                   default=None)
+        p.add_argument(flag, type=typ, default=default)
+    p.add_argument("--shapes", dest="occlusion_shapes", type=parse_shapes,
+                   default=(), help="name:kind:fraction[,...]")
+    p.add_argument("--unknown-shapes", type=parse_shapes, default=())
+    p.add_argument("--test-shapes", type=_names, default=())
 
-    p = sub.add_parser("collect", help="collect occlusion samples from a corpus")
-    common(p)
+    p = command("collect", "collect occlusion samples from a corpus")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--strategy", choices=["soc", "ssrc", "esrc"], default=None)
-    p.add_argument("--labeled", type=lambda s: s.lower() in ("1", "true", "yes"),
-                   default=None)
-    p.add_argument("--h", type=int, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--tau-schedule", type=parse_taus, default=None)
-    p.add_argument("--max-outer-iters", type=int, default=None)
-    p.add_argument("--min-support-fraction", type=float, default=None)
+    p.add_argument("--strategy", choices=["soc", "ssrc", "esrc"], default="soc")
+    p.add_argument("--labeled", type=_flag, default=True)
+    p.add_argument("--h", type=int, default=20)
+    p.add_argument("--beta", type=float, default=20.0)
+    p.add_argument("--tau-schedule", type=parse_taus,
+                   default="0.005,0.0045,0.004,0.0035,0.003,0.0025,0.002")
+    p.add_argument("--max-outer-iters", type=int, default=20)
+    p.add_argument("--neighborhood", choices=["4-connected", "8-connected"],
+                   default="4-connected")
+    p.add_argument("--min-support-fraction", type=float, default=0.05)
 
-    p = sub.add_parser("train", help="train an occlusion dictionary with K-SVD")
-    common(p)
+    p = command("train", "train an occlusion dictionary with K-SVD")
     p.add_argument("--samples", action="append", required=True,
                    help="sample matrix prefix (repeatable)")
-    p.add_argument("--atoms", type=int, default=None)
-    p.add_argument("--sparsity-budget", type=int, default=None)
-    p.add_argument("--iterations", type=int, default=None)
+    p.add_argument("--atoms", dest="atom_count", type=int, default=30)
+    ksvd(p)
 
-    def classify_common(p):
-        common(p)
+    def classifying(name, help):
+        p = command(name, help)
         p.add_argument("--corpus", required=True)
         p.add_argument("--occdict", action="append", default=[],
                        help="occlusion dictionary prefix (repeatable)")
-        p.add_argument("--mode", choices=[L1, STRUCTURED, SRC_MODE], default=None)
+        p.add_argument("--mode", choices=[L1, STRUCTURED, SRC_MODE], default=STRUCTURED)
         p.add_argument("--features", type=parse_hw, default=None,
                        help="downsampled feature resolution, e.g. 12x10")
-        p.add_argument("--epsilon", type=float, default=None)
+        p.add_argument("--epsilon", type=float, default=0.05)
         p.add_argument("--lam", type=float, default=None)
-        p.add_argument("--q-norm", type=float, default=None)
-        p.add_argument("--max-iters", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--theta-face", type=float, default=None)
-        p.add_argument("--theta-occlusion", type=float, default=None)
+        p.add_argument("--q-norm", type=float, default=2.0)
+        p.add_argument("--max-iters", type=int, default=2000)
+        p.add_argument("--tol", type=float, default=1e-6)
+        p.add_argument("--theta-face", type=float, default=0.9)
+        p.add_argument("--theta-occlusion", type=float, default=0.9)
+        return p
 
-    p = sub.add_parser("classify", help="classify test images")
-    classify_common(p)
-
-    p = sub.add_parser("roc", help="rejection-threshold sweep")
-    classify_common(p)
-
-    p = sub.add_parser("sweep", help="accuracy vs occlusion dictionary size")
-    classify_common(p)
+    classifying("classify", "classify test images")
+    classifying("roc", "rejection-threshold sweep")
+    p = classifying("sweep", "accuracy vs occlusion dictionary size")
     p.add_argument("--samples", action="append", required=True)
-    p.add_argument("--sizes", default=None)
-    p.add_argument("--sparsity-budget", type=int, default=None)
-    p.add_argument("--iterations", type=int, default=None)
+    p.add_argument("--sizes", type=_sizes, default="2,3,5,7,10,20,30,40,50,60")
+    ksvd(p)
 
     return parser
 
@@ -677,8 +598,12 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if args.config:
+            args = parser.parse_args(with_config(argv, args.command, args.config))
         return COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -686,7 +611,7 @@ def main(argv=None) -> int:
     except (DegenerateError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (OcclucodeError, FormatError, OSError, ValueError) as exc:
+    except (OcclucodeError, OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

@@ -290,32 +290,32 @@ def _partition_edges(src: int, dst: int) -> np.ndarray:
     return edges
 
 
+def _pooling_matrix(shape: tuple[int, int], target_h: int, target_w: int) -> np.ndarray:
+    """(target_h*target_w x h*w) matrix of block means over a uniform
+    partition of the pixels, acting on row-major image vectors: the
+    Kronecker product of the row and the column averaging matrices."""
+    h, w = shape
+    if not (1 <= target_h <= h and 1 <= target_w <= w):
+        raise BadDimsError(f"target {target_h}x{target_w} out of range for {h}x{w}")
+
+    def averaging(src, dst):
+        counts = np.diff(_partition_edges(src, dst))
+        return np.repeat(np.eye(dst) / counts[:, None], counts, axis=1)
+
+    return np.kron(averaging(h, target_h), averaging(w, target_w))
+
+
 def downsample(img: ImageGrid, target_h: int, target_w: int) -> ImageGrid:
     """Block-average downsampling over a uniform partition of pixels."""
-    if not (1 <= target_h <= img.height and 1 <= target_w <= img.width):
-        raise BadDimsError(
-            f"target {target_h}x{target_w} out of range for {img.height}x{img.width}"
-        )
-    re = _partition_edges(img.height, target_h)
-    ce = _partition_edges(img.width, target_w)
-    out = np.empty((target_h, target_w))
-    for i in range(target_h):
-        rows = img.values[re[i] : re[i + 1]]
-        for j in range(target_w):
-            out[i, j] = rows[:, ce[j] : ce[j + 1]].mean()
+    pool = _pooling_matrix((img.height, img.width), target_h, target_w)
+    out = (pool @ img.values.ravel()).reshape(target_h, target_w)
     return ImageGrid(target_h, target_w, np.clip(out, 0.0, 1.0))
 
 
 def downsample_vector(v: ImageVector, target_h: int, target_w: int) -> ImageVector:
     """Downsample a (possibly normalized) vector; output is unnormalized."""
-    h, w = v.shape
-    d = v.data
-    lo, hi = d.min(), d.max()
-    # temporary affine map into [0,1] so ImageGrid accepts it
-    span = hi - lo if hi > lo else 1.0
-    g = ImageGrid(h, w, (d.reshape(h, w) - lo) / span)
-    small = downsample(g, target_h, target_w)
-    return ImageVector(small.values.ravel() * span + lo, (target_h, target_w))
+    pool = _pooling_matrix(v.shape, target_h, target_w)
+    return ImageVector(pool @ v.data, (target_h, target_w))
 
 
 def downsample_dictionary(
@@ -326,11 +326,11 @@ def downsample_dictionary(
 ) -> BlockedDictionary:
     """Downsample every atom (interpreted on the given grid shape) and
     renormalize; the block map is unchanged."""
-    cols = []
-    for j in range(dictionary.n):
-        v = ImageVector(dictionary.atoms[:, j], shape)
-        cols.append(downsample_vector(v, target_h, target_w).data)
-    return BlockedDictionary(normalize_columns(np.stack(cols, axis=1)), dictionary.blocks)
+    h, w = shape
+    if dictionary.m != h * w:
+        raise DimMismatchError(f"atoms have m={dictionary.m}, grid is {h}*{w}")
+    pool = _pooling_matrix(shape, target_h, target_w)
+    return BlockedDictionary(normalize_columns(pool @ dictionary.atoms), dictionary.blocks)
 
 
 def block_select(

@@ -83,15 +83,17 @@ def collect_soc(
     dictionary: BlockedDictionary,
     label: str | None,
     cfg: MaskEstimatorConfig,
+    debug_dir: str | None = None,
 ) -> ImageVector:
     """Mask-based occlusion pattern; uses the labeled sub-dictionary when a
-    label is known, otherwise a locality-constrained dictionary."""
+    label is known, otherwise a locality-constrained dictionary. With a
+    debug_dir, the mask estimator dumps each iteration there."""
     u = normalize_vector(u)
     if label is not None:
         basis = dictionary.subdict(label)
     else:
         basis = build_lcd(u, dictionary, cfg.h)
-    est = estimate_mask(u, basis, cfg)
+    est = estimate_mask(u, basis, cfg, debug_dir=debug_dir)
     return extract_pattern(u, basis, est)
 
 

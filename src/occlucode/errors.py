@@ -51,6 +51,10 @@ class UnknownShapeError(OcclucodeError):
     """Requested occlusion shape is not defined in the spec."""
 
 
+class FormatError(OcclucodeError):
+    """Malformed file contents."""
+
+
 class RankDeficientWarning(UserWarning):
     """Sub-dictionary columns are not linearly independent; a pseudo-inverse
     or least-norm fallback was used."""

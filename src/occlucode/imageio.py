@@ -14,11 +14,7 @@ import os
 import numpy as np
 
 from .core import Block, BlockedDictionary, ImageGrid
-from .errors import OcclucodeError
-
-
-class FormatError(OcclucodeError):
-    """Malformed file contents."""
+from .errors import FormatError
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,14 @@ import shutil
 import numpy as np
 import pytest
 
-from occlucode.cli import main, parse_hw, parse_shapes, read_config
+from occlucode.cli import (
+    build_parser,
+    main,
+    parse_hw,
+    parse_shapes,
+    read_config,
+    with_config,
+)
 
 CORPUS_FLAGS = [
     "--classes", "4",
@@ -278,6 +285,93 @@ def test_config_file_with_flag_override(corpus, occdict, tmp_path):
     )
     assert rc == 0
     assert _dir_digest(str(out1)) == _dir_digest(str(out2))
+
+
+def _write_config(tmp_path, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    return str(cfg)
+
+
+def test_config_values_go_ahead_of_flags(tmp_path):
+    cfg = _write_config(tmp_path, "mode = l1\noccdict = a\nepsilon = 0.1\n")
+    argv = ["classify", "--corpus", "c", "--out", "o", "--config", cfg,
+            "--occdict", "b", "--epsilon", "0.2"]
+    args = build_parser().parse_args(with_config(argv, "classify", cfg))
+    assert args.mode == "l1"
+    assert args.occdict == ["a", "b"]  # repeatable: the file's value adds
+    assert args.epsilon == 0.2  # the explicit flag wins
+    assert args.theta_face == 0.9  # default from the parser
+
+
+def test_config_unknown_key_exits_1(corpus, occdict, tmp_path):
+    cfg = _write_config(tmp_path, "epsilonn = 0.9\n")
+    rc = main(
+        ["classify", "--corpus", corpus, "--occdict", occdict,
+         "--out", str(tmp_path / "o"), "--config", cfg]
+    )
+    assert rc == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_bad_choice_exits_1_for_sweep(corpus, samples, tmp_path):
+    cfg = _write_config(tmp_path, "mode = bogus\n")
+    rc = main(
+        ["sweep", "--corpus", corpus, "--samples", samples,
+         "--out", str(tmp_path / "o"), "--sizes", "2", "--config", cfg]
+    )
+    assert rc == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_value_of_wrong_type_exits_1(corpus, occdict, tmp_path):
+    cfg = _write_config(tmp_path, "epsilon = abc\n")
+    rc = main(
+        ["classify", "--corpus", corpus, "--occdict", occdict,
+         "--out", str(tmp_path / "o"), "--config", cfg]
+    )
+    assert rc == 1
+
+
+def test_abbreviated_flag_exits_1(corpus, occdict, tmp_path):
+    rc = main(
+        ["classify", "--corpus", corpus, "--occdict", occdict,
+         "--out", str(tmp_path / "o"), "--eps", "0.05"]
+    )
+    assert rc == 1
+
+
+def test_config_neighborhood_equals_flag(corpus, samples, tmp_path):
+    cfg = _write_config(tmp_path, "neighborhood = 8-connected\n")
+    base = ["collect", "--corpus", corpus, "--strategy", "soc"] + MASK_FLAGS
+    out1, out2 = tmp_path / "from-config", tmp_path / "from-flag"
+    assert main(base + ["--out", str(out1), "--config", cfg]) == 0
+    assert main(base + ["--out", str(out2), "--neighborhood", "8-connected"]) == 0
+    four = os.path.dirname(samples)  # the 4-connected default
+    for suffix in (".csv", ".json", ".f64"):
+        assert _dir_digest(str(out1), suffix) == _dir_digest(str(out2), suffix)
+    assert _dir_digest(str(out1), ".f64") != _dir_digest(four, ".f64")
+
+
+def test_sweep_row_equals_train_then_classify(corpus, samples, tmp_path, capsys):
+    ksvd = ["--iterations", "5", "--seed", "2"]
+    coding = ["--mode", "l1", "--features", "10x8"]
+    rc = main(["train", "--samples", samples, "--out", str(tmp_path / "t"),
+               "--atoms", "4"] + ksvd)
+    assert rc == 0
+    capsys.readouterr()
+    rc = main(["classify", "--corpus", corpus, "--out", str(tmp_path / "c"),
+               "--occdict", str(tmp_path / "t" / "occdict_band")] + coding)
+    assert rc == 0
+    printed = capsys.readouterr().out.splitlines()[0]  # "accuracy c/n = x"
+    correct, n_test = printed.split()[1].split("/")
+    rc = main(["sweep", "--corpus", corpus, "--samples", samples,
+               "--out", str(tmp_path / "s"), "--sizes", "4"] + ksvd + coding)
+    assert rc == 0
+    with open(tmp_path / "s" / "sweep.csv") as f:
+        row = f.read().strip().splitlines()[1].split(",")
+    assert row[0] == "4"
+    assert float(row[1]) == int(correct) / int(n_test)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ from occlucode import (
     SparseCoefficients,
     block_select,
     downsample,
+    downsample_dictionary,
+    downsample_vector,
     normalize_vector,
     residual,
     vectorize,
@@ -108,6 +110,53 @@ def test_downsample_bad_targets():
     for th, tw in [(0, 2), (2, 0), (5, 2), (2, 5)]:
         with pytest.raises(BadDimsError):
             downsample(g, th, tw)
+
+
+def _block_means_oracle(values, target_h, target_w):
+    """Mean of each cell of the uniform pixel partition, one cell at a time."""
+    h, w = values.shape
+    re = np.rint(np.arange(target_h + 1) * (h / target_h)).astype(int)
+    ce = np.rint(np.arange(target_w + 1) * (w / target_w)).astype(int)
+    re[-1], ce[-1] = h, w
+    out = np.empty((target_h, target_w))
+    for i in range(target_h):
+        for j in range(target_w):
+            out[i, j] = values[re[i] : re[i + 1], ce[j] : ce[j + 1]].mean()
+    return out
+
+
+@pytest.mark.parametrize(
+    "shape,target", [((30, 24), (12, 10)), ((83, 60), (12, 10)), ((7, 5), (3, 2)),
+                     ((6, 4), (6, 4)), ((5, 9), (1, 1))]
+)
+def test_downsampling_matches_block_mean_oracle(rng, shape, target):
+    values = rng.uniform(size=shape)
+    expect = _block_means_oracle(values, *target)
+    assert np.allclose(downsample(ImageGrid(*shape, values), *target).values,
+                       expect, rtol=0, atol=1e-14)
+    # signed, unit-norm vectors: no mapping into [0, 1] is needed
+    v = normalize_vector(ImageVector(rng.standard_normal(shape[0] * shape[1]), shape))
+    small = downsample_vector(v, *target)
+    assert small.shape == target and not small.normalized
+    assert np.allclose(small.data, _block_means_oracle(v.data.reshape(shape), *target).ravel(),
+                       rtol=0, atol=1e-14)
+    d = random_dictionary(rng, shape[0] * shape[1], 5, [("a", 3), ("b", 2)])
+    dd = downsample_dictionary(d, shape, *target)
+    cols = np.stack([_block_means_oracle(d.atoms[:, j].reshape(shape), *target).ravel()
+                     for j in range(d.n)], axis=1)
+    assert dd.blocks == d.blocks
+    assert np.allclose(dd.atoms, cols / np.linalg.norm(cols, axis=0), rtol=0, atol=1e-14)
+
+
+def test_downsample_vector_and_dictionary_reject_bad_dims(rng):
+    v = ImageVector(rng.standard_normal(12), (4, 3))
+    with pytest.raises(BadDimsError):
+        downsample_vector(v, 5, 3)
+    d = random_dictionary(rng, 12, 2)
+    with pytest.raises(DimMismatchError):
+        downsample_dictionary(d, (5, 3), 2, 2)
+    with pytest.raises(BadDimsError):
+        downsample_dictionary(d, (4, 3), 2, 4)
 
 
 # ---------------------------------------------------------------------------
