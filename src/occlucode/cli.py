@@ -8,9 +8,10 @@ types, choices and defaults. A configuration file holds ``key = value``
 lines with ``#`` comments; each key must name one of the command's options
 exactly (``q-norm`` for ``--q-norm``). The command's parser reads the file's
 values as ``--key=value`` placed ahead of the explicit flags, so explicit
-flags win and a repeatable option (``occdict``, ``samples``) adds the
-file's value to those on the command line. Abbreviated flags are not
-accepted. Exit codes: 0 success, 1 usage error (including an unknown
+flags win and a repeatable option (``occdict``, ``samples``) adds every
+value the file gives it to those on the command line. A flag option
+(``debug``) takes ``true`` or ``false`` in the file. Abbreviated flags are
+not accepted. Exit codes: 0 success, 1 usage error (including an unknown
 config key or a value its option rejects), 2 data error, 3 numerical
 failure.
 """
@@ -67,6 +68,7 @@ from .solvers import SolverConfig
 from .synth import CorpusPlan, OcclusionShape, SynthSpec, generate_corpus
 
 SRC_MODE = "src"
+FLAGS = ("debug",)  # options that take no value on the command line
 
 
 class UsageError(Exception):
@@ -77,8 +79,9 @@ class UsageError(Exception):
 # config plumbing
 
 
-def read_config(path: str) -> dict:
-    values = {}
+def read_config(path: str) -> list[tuple[str, str]]:
+    """The file's (key, value) pairs in file order, repeated keys included."""
+    values = []
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
             line = line.split("#", 1)[0].strip()
@@ -87,15 +90,24 @@ def read_config(path: str) -> dict:
             if "=" not in line:
                 raise UsageError(f"{path}:{lineno}: expected key=value")
             key, val = line.split("=", 1)
-            values[key.strip()] = val.strip()
+            values.append((key.strip(), val.strip()))
     return values
 
 
 def with_config(argv: list[str], command: str, path: str) -> list[str]:
     """argv with the config file's values inserted after the command name
-    as ``--key=value``, ahead of the explicit flags, which therefore win."""
+    as ``--key=value``, ahead of the explicit flags, which therefore win.
+    A flag option takes ``true``, which inserts the bare flag, or ``false``,
+    which inserts nothing."""
+    values = []
+    for key, val in read_config(path):
+        if key not in FLAGS:
+            values.append(f"--{key}={val}")
+        elif val.lower() == "true":
+            values.append(f"--{key}")
+        elif val.lower() != "false":
+            raise UsageError(f"{path}: {key} takes true or false, not {val!r}")
     i = argv.index(command) + 1
-    values = [f"--{key}={val}" for key, val in read_config(path).items()]
     return argv[:i] + values + argv[i:]
 
 
@@ -519,7 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key = value config file")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--debug", action="store_true")
+        for name in FLAGS:
+            p.add_argument(f"--{name}", action="store_true")
         return p
 
     def ksvd(p):

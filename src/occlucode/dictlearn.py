@@ -207,10 +207,11 @@ def ksvd_train_with_trace(
         for k in range(K):
             users = A[k] != 0.0
             if not np.any(users):
-                # dead atom: adopt the worst-represented sample; the swap is
-                # error-neutral because the code row is all zero
+                # dead atom: adopt the worst-represented sample, the first of
+                # those tied up to rounding; the swap is error-neutral because
+                # the code row is all zero
                 errs = np.linalg.norm(S - D @ A, axis=0)
-                worst = int(np.argmax(errs))
+                worst = int(np.argmax(errs >= errs.max() * (1.0 - 1e-12)))
                 v = S[:, worst]
                 D[:, k] = v * _fix_sign(v) / np.linalg.norm(v)
                 continue

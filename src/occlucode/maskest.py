@@ -124,6 +124,7 @@ def estimate_mask(
         raise DimMismatchError(f"u has m={u.m}, basis has m={basis.m}")
     m = u.m
     taus = cfg.tau_schedule
+    edges = grid_edges(*u.shape, cfg.neighborhood)
     z = np.ones(m, dtype=np.int8)
     e_full = None
     energy_trace: list[float] = []
@@ -133,12 +134,10 @@ def estimate_mask(
         rows = z == 1
         x = l1_regression(basis.atoms[rows], u.data[rows])
         e_full = u.data - basis.atoms @ x
-        e_vec = ImageVector(e_full, u.shape)
-        mask = update_support(e_vec, cfg.beta, tau, cfg.neighborhood)
-        z_new = np.asarray(mask.support)
-        energy_trace.append(
-            support_energy(e_vec, z_new, cfg.beta, tau, cfg.neighborhood)
-        )
+        # one update_support step and its support_energy, on the grid built once
+        theta0, theta1 = _data_terms(e_full, tau)
+        z_new = maximize_grid_mrf(theta0, theta1, cfg.beta, edges)
+        energy_trace.append(mrf_energy(z_new, theta0, theta1, cfg.beta, edges))
         if debug_dir is not None:
             _dump_iteration(debug_dir, it, e_full, z_new, u.shape)
         if z_new.mean() < cfg.min_support_fraction:

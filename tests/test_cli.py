@@ -7,7 +7,9 @@ import shutil
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
+from occlucode import Block, BlockedDictionary, solvers
 from occlucode.cli import (
     build_parser,
     main,
@@ -16,6 +18,8 @@ from occlucode.cli import (
     read_config,
     with_config,
 )
+from occlucode.core import OCCLUSION
+from occlucode.imageio import load_dictionary, save_dictionary
 
 CORPUS_FLAGS = [
     "--classes", "4",
@@ -92,8 +96,9 @@ def test_parse_hw():
 
 def test_read_config(tmp_path):
     p = tmp_path / "run.cfg"
-    p.write_text("# comment\nepsilon = 0.05\nmode=l1  # trailing\n\n")
-    assert read_config(str(p)) == {"epsilon": "0.05", "mode": "l1"}
+    p.write_text("# comment\nepsilon = 0.05\nmode=l1  # trailing\n\nmode = src\n")
+    assert read_config(str(p)) == [
+        ("epsilon", "0.05"), ("mode", "l1"), ("mode", "src")]
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +163,20 @@ def test_collect_esrc_matches_module(corpus, tmp_path):
     u = normalize_vector(load_image_vector(corpus, collect_rows[0], shape))
     expect = collect_esrc(u, gallery.subdict(collect_rows[0]["face_label"]))
     assert np.allclose(mat[:, 0], expect.data, atol=1e-12)
+
+
+def test_collect_rejects_images_whose_lad_fit_fails(corpus, tmp_path, monkeypatch):
+    def failing(*args, **kwargs):
+        return OptimizeResult(success=False, status=4, message="numerical difficulties")
+
+    monkeypatch.setattr(solvers, "linprog", failing)
+    out = tmp_path / "collect"
+    rc = main(["collect", "--corpus", corpus, "--out", str(out)] + MASK_FLAGS)
+    assert rc == 0
+    with open(out / "rejected.csv") as f:
+        rows = f.read().strip().splitlines()[1:]
+    assert len(rows) == 3 * 3  # every collect image
+    assert all(r.split(",")[1] == "DegenerateError" for r in rows)
 
 
 def test_train_outputs(occdict):
@@ -302,6 +321,46 @@ def test_config_values_go_ahead_of_flags(tmp_path):
     assert args.occdict == ["a", "b"]  # repeatable: the file's value adds
     assert args.epsilon == 0.2  # the explicit flag wins
     assert args.theta_face == 0.9  # default from the parser
+
+
+def test_config_repeated_key_keeps_every_value(corpus, occdict, tmp_path):
+    # a second occlusion dictionary: the first one under another label
+    first = load_dictionary(occdict)
+    other = str(tmp_path / "occdict_band2")
+    save_dictionary(other, BlockedDictionary(
+        first.atoms, (Block("band2", OCCLUSION, 0, first.n),)))
+    cfg = _write_config(tmp_path, f"occdict = {occdict}\noccdict = {other}\n")
+    base = ["classify", "--corpus", corpus, "--mode", "l1", "--features", "10x8",
+            "--debug"]
+    out1, out2 = tmp_path / "from-config", tmp_path / "from-flags"
+    assert main(base + ["--out", str(out1), "--config", cfg]) == 0
+    assert main(base + ["--out", str(out2), "--occdict", occdict,
+                        "--occdict", other]) == 0
+    assert _dir_digest(str(out1)) == _dir_digest(str(out2))
+    with open(out1 / "results.csv") as f:
+        rows = f.read().strip().splitlines()[1:]
+    assert all("band=" in r and "band2=" in r for r in rows)
+
+
+@pytest.mark.parametrize("value, debug_columns", [("true", True), ("false", False)])
+def test_config_flag_takes_true_or_false(corpus, tmp_path, value, debug_columns):
+    cfg = _write_config(tmp_path, f"debug = {value}\n")
+    base = ["classify", "--corpus", corpus, "--mode", "l1", "--features", "10x8"]
+    out1, out2 = tmp_path / "from-config", tmp_path / "from-flag"
+    assert main(base + ["--out", str(out1), "--config", cfg]) == 0
+    assert main(base + ["--out", str(out2)] + (["--debug"] if debug_columns else [])) == 0
+    assert _dir_digest(str(out1)) == _dir_digest(str(out2))
+    with open(out1 / "results.csv") as f:
+        header = f.readline()
+    assert ("face_residuals" in header) == debug_columns
+
+
+def test_config_flag_other_value_exits_1(corpus, tmp_path):
+    cfg = _write_config(tmp_path, "debug = yes please\n")
+    rc = main(["classify", "--corpus", corpus, "--out", str(tmp_path / "o"),
+               "--config", cfg])
+    assert rc == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_config_unknown_key_exits_1(corpus, occdict, tmp_path):

@@ -6,7 +6,8 @@ import itertools
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
+from scipy import sparse
+from scipy.optimize import OptimizeResult, linprog, minimize
 
 from occlucode import (
     Block,
@@ -16,10 +17,17 @@ from occlucode import (
     solve_group_bpdn,
     solve_l1_bpdn,
     solve_l1_error,
+    solvers,
 )
 from occlucode.core import FACE, normalize_columns
-from occlucode.errors import DimMismatchError, RankDeficientWarning
-from occlucode.solvers import block_penalty, block_prox, l1_regression
+from occlucode.errors import DegenerateError, DimMismatchError, RankDeficientWarning
+from occlucode.solvers import (
+    LAD_GAP_RTOL,
+    block_penalty,
+    block_prox,
+    l1_regression,
+    lad_fit,
+)
 
 from conftest import random_dictionary
 
@@ -364,3 +372,81 @@ def test_l1_regression_median_property(rng):
     b = rng.standard_normal(9)
     x = l1_regression(A, b)
     assert x[0] == pytest.approx(np.median(b), abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# least absolute deviations: the dual LP against the primal LP
+
+
+def primal_lad_oracle(A, b):
+    """argmin_x ||b - A x||_1 as the primal LP over [x, e+, e-]:
+    min 1'e+ + 1'e-  s.t.  A x + e+ - e- = b,  e+, e- >= 0."""
+    m, h = A.shape
+    c = np.concatenate([np.zeros(h), np.ones(2 * m)])
+    eye = sparse.identity(m, format="csc")
+    A_eq = sparse.hstack([sparse.csc_matrix(A), eye, -eye], format="csc")
+    bounds = [(None, None)] * h + [(0, None)] * (2 * m)
+    res = linprog(c, A_eq=A_eq, b_eq=b, bounds=bounds, method="highs")
+    assert res.success, res.message
+    return res.x[:h]
+
+
+def _lad_instance(rng, kind):
+    if kind == "720x4":
+        A = rng.standard_normal((720, 4))
+    elif kind == "720x20":
+        A = rng.standard_normal((720, 20))
+    elif kind == "rank-deficient":
+        base = rng.standard_normal((200, 4))
+        A = np.hstack([base, base[:, :2] @ rng.standard_normal((2, 3))])
+    else:  # fewer rows than columns: b is fitted exactly
+        A = rng.standard_normal((5, 8))
+    return A, rng.standard_normal(A.shape[0])
+
+
+@pytest.mark.parametrize(
+    "kind", ["720x4", "720x20", "rank-deficient", "wide"])
+def test_lad_dual_matches_primal_oracle(rng, kind):
+    A, b = _lad_instance(rng, kind)
+    fit = lad_fit(A, b)
+    oracle = np.abs(b - A @ primal_lad_oracle(A, b)).sum()
+    assert abs(fit.primal - oracle) <= 1e-9 * max(1.0, oracle)
+    assert np.array_equal(l1_regression(A, b), fit.x)
+    # the certificate: y is dual feasible, and the objectives are those of
+    # x and y and close the gap
+    assert np.max(np.abs(fit.y)) <= 1.0 + 1e-9
+    assert np.max(np.abs(A.T @ fit.y)) <= 1e-9 * max(1.0, np.abs(A).max())
+    assert fit.primal == pytest.approx(np.abs(b - A @ fit.x).sum(), rel=1e-15)
+    assert fit.dual == pytest.approx(b @ fit.y, rel=1e-15)
+    assert abs(fit.gap) <= LAD_GAP_RTOL * max(1.0, fit.primal)
+
+
+def test_lad_wide_fits_exactly(rng):
+    A, b = _lad_instance(rng, "wide")
+    fit = lad_fit(A, b)
+    assert np.allclose(A @ fit.x, b, atol=1e-9)
+    assert fit.dual == pytest.approx(0.0, abs=1e-12)
+
+
+def test_lad_failed_lp_raises_degenerate(rng, monkeypatch):
+    def failing(*args, **kwargs):
+        return OptimizeResult(success=False, status=4, message="numerical difficulties")
+
+    monkeypatch.setattr(solvers, "linprog", failing)
+    A, b = _lad_instance(rng, "720x4")
+    with pytest.raises(DegenerateError, match="LP failed"):
+        l1_regression(A, b)
+    with pytest.raises(DegenerateError):
+        solve_l1_error(vec(b[:12]), random_dictionary(rng, 12, 3))
+
+
+def test_lad_gap_above_bound_raises_degenerate(rng, monkeypatch):
+    def off_by_a_bit(*args, **kwargs):
+        res = linprog(*args, **kwargs)
+        res.eqlin.marginals = res.eqlin.marginals + 1e-6  # x no longer optimal
+        return res
+
+    monkeypatch.setattr(solvers, "linprog", off_by_a_bit)
+    A, b = _lad_instance(rng, "720x4")
+    with pytest.raises(DegenerateError, match="duality gap"):
+        l1_regression(A, b)
