@@ -21,6 +21,7 @@ fit from below, so every fit carries its duality gap, which must vanish.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -92,49 +93,65 @@ def block_penalty(w, starts, weights) -> float:
     return float(weights @ _block_norms(w, starts))
 
 
+def _shrink(v, thresholds, starts, sizes):
+    """Shrink each block's norm by its threshold; returns the shrunk vector
+    and its block norms."""
+    norms = np.maximum(_block_norms(v, starts), _TINY)
+    scale = np.maximum(0.0, 1.0 - thresholds / norms)
+    return v * np.repeat(scale, sizes), norms * scale
+
+
 def block_prox(v, t, starts, sizes, weights) -> np.ndarray:
     """Prox of t * block_penalty: shrink each block's norm by t * c_b.
 
     ``sizes`` are the block lengths. On singleton blocks this is soft
     thresholding at t * c_b."""
-    norms = np.maximum(_block_norms(v, starts), _TINY)
-    scale = np.maximum(0.0, 1.0 - t * weights / norms)
-    return v * np.repeat(scale, sizes)
+    return _shrink(v, t * weights, starts, sizes)[0]
 
 
 # ---------------------------------------------------------------------------
 # penalized inner solver (monotone FISTA)
 
 
-def _mfista(R, RtR, Rtu, u, w0, mu, step, prox, penalty, max_iters, tol):
-    """Minimize mu*g(w) + 0.5||u - Rw||^2; returns (w, trace, iters)."""
+def _mfista(R, u, w0, mu, step, starts, sizes, weights, max_iters, tol):
+    """Minimize mu * block_penalty(w) + 0.5||u - Rw||^2 from w0.
 
-    def total(w):
-        r = u - R @ w
-        return 0.5 * (r @ r) + mu * penalty(w)
-
-    x = w0.copy()
-    y = x.copy()
+    Returns (w, r, trace, iters) with r = u - R w. Each iterate carries its
+    residual, so an iteration makes one product with R and one with R^T,
+    and the prox's block norms give the candidate's penalty."""
+    thresholds = step * mu * weights
+    x = w0
+    r = u - R @ x
+    fx = 0.5 * (r @ r) + mu * block_penalty(x, starts, weights)
+    y, ry = x, r
     t = 1.0
-    fx = total(x)
     trace = [fx]
     it = 0
     for it in range(1, max_iters + 1):
-        z = prox(y - step * (RtR @ y - Rtu), step * mu)
-        fz = total(z)
-        x_old = x
+        z, z_norms = _shrink(y + step * (R.T @ ry), thresholds, starts, sizes)
+        rz = u - R @ z
+        fz = 0.5 * (rz @ rz) + mu * (weights @ z_norms)
+        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        x_old, r_old = x, r
+        step_z = z - x_old
         if fz <= fx:
-            x, fx = z, fz
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        y = x + (t / t_new) * (z - x) + ((t - 1.0) / t_new) * (x - x_old)
+            # y = z + (t - 1)/t_new (z - x_old), and its residual alike
+            x, r, fx = z, rz, fz
+            beta = (t - 1.0) / t_new
+            y = z + beta * step_z
+            ry = rz + beta * (rz - r_old)
+        else:
+            # y = x + t/t_new (z - x): momentum toward the rejected candidate
+            beta = t / t_new
+            y = x + beta * step_z
+            ry = r + beta * (rz - r)
         t = t_new
         trace.append(fx)
         # stationarity via the prox candidate: ||z - x_old|| vanishes only at
         # a fixed point, whereas x == x_old merely means a non-improving step
-        dz = np.linalg.norm(z - x_old)
-        if dz <= tol * max(1.0, np.linalg.norm(x)):
+        if math.sqrt(step_z @ step_z) <= tol * max(1.0, math.sqrt(x @ x)):
             break
-    return x, trace, it
+    return x, r, trace, it
 
 
 def _solve_bpdn(u, dictionary, cfg, starts, weights):
@@ -143,9 +160,8 @@ def _solve_bpdn(u, dictionary, cfg, starts, weights):
     eps = cfg.epsilon
     u_norm = np.linalg.norm(u)
     ident = dictionary.fingerprint
-    Rtu = R.T @ u
     # smallest mu for which w = 0 is optimal
-    mu_max = float(np.max(_block_norms(Rtu, starts) / weights, initial=0.0))
+    mu_max = float(np.max(_block_norms(R.T @ u, starts) / weights, initial=0.0))
 
     if u_norm <= eps or mu_max == 0.0:
         w = np.zeros(dictionary.n)
@@ -153,15 +169,8 @@ def _solve_bpdn(u, dictionary, cfg, starts, weights):
             SparseCoefficients(w, ident), 0, float(u_norm), 0.0, True, [0.0]
         )
 
-    RtR = R.T @ R
-    step = 1.0 / max(np.linalg.eigvalsh(RtR)[-1], 1e-12)
+    step = 1.0 / max(np.linalg.norm(R, 2) ** 2, 1e-12)
     sizes = np.diff(starts, append=dictionary.n)
-
-    def prox(v, t):
-        return block_prox(v, t, starts, sizes, weights)
-
-    def penalty(w):
-        return block_penalty(w, starts, weights)
 
     # residual target window; eps = 0 means "as exact as the tolerance allows"
     hi = eps if eps > 0 else cfg.tol
@@ -175,14 +184,14 @@ def _solve_bpdn(u, dictionary, cfg, starts, weights):
     bracket = [log_lo, log_hi]
     mu = 10.0 ** (log_hi - 2.0)
     for _ in range(cfg.max_continuation):
-        w, trace, it = _mfista(
-            R, RtR, Rtu, u, w, mu, step, prox, penalty, cfg.max_iters, cfg.tol
+        w, r, trace, it = _mfista(
+            R, u, w, mu, step, starts, sizes, weights, cfg.max_iters, cfg.tol
         )
         total_iters += it
-        resid = float(np.linalg.norm(u - R @ w))
+        resid = float(np.linalg.norm(r))
         if resid <= hi:
             if best is None or mu > best[0]:
-                best = (mu, w.copy(), resid, trace)
+                best = (mu, w, resid, trace)
             if resid >= lo:
                 break
             bracket[0] = np.log10(mu)  # residual too small -> raise mu
@@ -199,7 +208,12 @@ def _solve_bpdn(u, dictionary, cfg, starts, weights):
         _, w, resid, trace = best
         converged = True
     return SolveReport(
-        SparseCoefficients(w, ident), total_iters, resid, penalty(w), converged, trace
+        SparseCoefficients(w, ident),
+        total_iters,
+        resid,
+        block_penalty(w, starts, weights),
+        converged,
+        trace,
     )
 
 
