@@ -131,9 +131,11 @@ def _mfista(R, u, w0, mu, step, starts, sizes, weights, max_iters, tol):
         z, z_norms = _shrink(y + step * (R.T @ ry), thresholds, starts, sizes)
         rz = u - R @ z
         fz = 0.5 * (rz @ rz) + mu * (weights @ z_norms)
-        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         x_old, r_old = x, r
         step_z = z - x_old
+        if (y - z) @ step_z > 0.0:
+            t = 1.0  # the step points uphill: restart the momentum
+        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         if fz <= fx:
             # y = z + (t - 1)/t_new (z - x_old), and its residual alike
             x, r, fx = z, rz, fz

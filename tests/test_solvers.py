@@ -290,6 +290,11 @@ def test_block_prox_matches_loop(rng):
         t = float(rng.uniform(0.05, 1.5))
         got = block_prox(v, t, starts, stops - starts, weights)
         assert np.allclose(got, loop_prox(v, t, starts, weights), rtol=1e-14, atol=1e-15)
+        # the prox's block norms give the penalty of its output
+        z, z_norms = solvers._shrink(v, t * weights, starts, stops - starts)
+        assert np.array_equal(z, got)
+        assert weights @ z_norms == pytest.approx(
+            block_penalty(z, starts, weights), rel=1e-12, abs=1e-12)
         penalty = sum(c * np.linalg.norm(v[a:b]) for a, b, c in zip(starts, stops, weights))
         assert block_penalty(v, starts, weights) == pytest.approx(penalty, rel=1e-14)
 
@@ -313,6 +318,89 @@ def test_block_prox_singletons_soft_threshold(rng):
     assert np.allclose(got, soft, rtol=1e-14, atol=1e-16)
     assert block_penalty(v, np.arange(30), weights) == pytest.approx(
         np.abs(v) @ weights, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# penalized inner solver
+
+
+def penalized_instance(rng, kind):
+    """(R, u, starts, weights) for a 4-atom-block partition, singleton
+    blocks, and correlated atoms (a rank-3 core plus 1e-3 noise, condition
+    number ~1e4) coded in blocks."""
+    m, n = 30, 24
+    if kind == "ill-conditioned":
+        m, n = 20, 40
+        core = rng.standard_normal((m, 3)) @ rng.standard_normal((3, n))
+        R = normalize_columns(core + 1e-3 * rng.standard_normal((m, n)))
+    else:
+        R = normalize_columns(rng.standard_normal((m, n)))
+    if kind == "singleton":
+        starts, weights = np.arange(n), np.ones(n)
+    else:
+        starts, weights = np.arange(0, n, 4), rng.uniform(0.5, 1.5, n // 4)
+    u = rng.standard_normal(m)
+    return R, u / np.linalg.norm(u), starts, weights
+
+
+def penalized_objective(R, u, mu, w, starts, weights):
+    r = u - R @ w
+    return 0.5 * (r @ r) + mu * block_penalty(w, starts, weights)
+
+
+def plain_fista(R, u, mu, starts, weights, iters):
+    """Reference: FISTA (Beck & Teboulle 2009) from w = 0 with the constant
+    step 1/||R^T R||, explicit gradient, no monotone safeguard and no
+    restart; returns the final iterate."""
+    sizes = np.diff(starts, append=R.shape[1])
+    L = np.linalg.eigvalsh(R.T @ R)[-1]
+    x = y = np.zeros(R.shape[1])
+    t = 1.0
+    for _ in range(iters):
+        x_new = block_prox(y - R.T @ (R @ y - u) / L, mu / L, starts, sizes, weights)
+        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        y = x_new + ((t - 1.0) / t_new) * (x_new - x)
+        x, t = x_new, t_new
+    return x
+
+
+def run_mfista(R, u, mu, starts, weights, w0, max_iters, tol):
+    sizes = np.diff(starts, append=R.shape[1])
+    step = 1.0 / np.linalg.eigvalsh(R.T @ R)[-1]
+    return solvers._mfista(R, u, w0, mu, step, starts, sizes, weights, max_iters, tol)
+
+
+KINDS = ["group", "singleton", "ill-conditioned"]
+
+
+def _mu(R, u, starts, weights, frac):
+    return frac * np.max(solvers._block_norms(R.T @ u, starts) / weights)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_mfista_carried_residual_and_monotone_trace(rng, kind):
+    R, u, starts, weights = penalized_instance(rng, kind)
+    for frac, max_iters in ((0.3, 7), (0.05, 200), (0.01, 5000)):
+        mu = _mu(R, u, starts, weights, frac)
+        w0 = 0.1 * rng.standard_normal(R.shape[1])  # a warm start
+        x, r, trace, it = run_mfista(R, u, mu, starts, weights, w0, max_iters, 1e-12)
+        assert np.max(np.abs(r - (u - R @ x))) <= 1e-10
+        assert len(trace) == it + 1
+        assert np.all(np.diff(trace) <= 0.0)  # non-increasing with restarts
+        assert trace[-1] == pytest.approx(
+            penalized_objective(R, u, mu, x, starts, weights), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_mfista_reaches_plain_fista_objective(rng, kind):
+    R, u, starts, weights = penalized_instance(rng, kind)
+    mu = _mu(R, u, starts, weights, 0.01)
+    ref = penalized_objective(
+        R, u, mu, plain_fista(R, u, mu, starts, weights, 30000), starts, weights)
+    x, _, trace, it = run_mfista(
+        R, u, mu, starts, weights, np.zeros(R.shape[1]), 20000, 1e-12)
+    assert it < 20000  # stopped by the tolerance, not the cap
+    assert abs(trace[-1] - ref) <= 1e-8 * ref
 
 
 # ---------------------------------------------------------------------------
