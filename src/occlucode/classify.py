@@ -22,11 +22,10 @@ from .core import (
     BlockedDictionary,
     ClassificationOutcome,
     ImageVector,
-    SparseCoefficients,
     normalize_vector,
 )
 from .errors import DegenerateError, DimMismatchError
-from .solvers import SolverConfig, solve_group_bpdn, solve_l1_bpdn
+from .solvers import SolveReport, SolverConfig, solve_group_bpdn, solve_l1_bpdn
 
 L1 = "l1"
 STRUCTURED = "structured"
@@ -116,10 +115,11 @@ def classify(
         report = solve_group_bpdn(u, R, cfg.solver)
     else:
         report = solve_l1_bpdn(u, R, cfg.solver)
-    return _decide(u, R, report.coefficients, cfg)
+    return _decide(u, R, report, cfg)
 
 
-def _decide(u, R, coef: SparseCoefficients, cfg) -> ClassificationOutcome:
+def _decide(u, R, report: SolveReport, cfg) -> ClassificationOutcome:
+    coef = report.coefficients
     face_blocks = R.face_blocks
     occ_blocks = R.occlusion_blocks
     # column b is block b's partial reconstruction R_b w_b; a candidate's
@@ -152,6 +152,8 @@ def _decide(u, R, coef: SparseCoefficients, cfg) -> ClassificationOutcome:
         rdi_face=rdi_face,
         rdi_occlusion=rdi_occ,
         coefficients=coef,
+        iterations=report.iterations,
+        converged=report.converged,
     )
 
 
@@ -173,4 +175,4 @@ def classify_src_baseline(
     u = normalize_vector(u)
     R = with_identity_block(D)
     report = solve_l1_bpdn(u, R, cfg.solver)
-    return _decide(u, R, report.coefficients, cfg)
+    return _decide(u, R, report, cfg)

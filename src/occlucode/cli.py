@@ -509,7 +509,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _flag(text: str) -> bool:
-    return text.lower() in ("1", "true", "yes")
+    value = text.lower()
+    if value in ("1", "true", "yes"):
+        return True
+    if value in ("0", "false", "no"):
+        return False
+    raise argparse.ArgumentTypeError(f"expected true or false, not {text!r}")
 
 
 def _names(text: str) -> tuple[str, ...]:

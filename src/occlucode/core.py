@@ -253,6 +253,8 @@ class ClassificationOutcome:
     rdi_face: float = float("nan")
     rdi_occlusion: float = float("nan")
     coefficients: SparseCoefficients | None = None
+    iterations: int = 0  # inner solver iterations of the coding solve
+    converged: bool = True  # whether that solve reached its residual window
 
     REJECTED = "REJECTED"
     NONE = "NONE"

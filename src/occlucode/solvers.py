@@ -8,9 +8,15 @@ columns of a dictionary R:
 Group coding uses the dictionary's blocks, with weight c_b = 1 for face
 blocks and lambda for occlusion blocks. Plain l1 (all weights 1) and the
 weighted l1 of q_norm = 1 are its singleton-block cases. The problem is
-solved by a monotone accelerated proximal-gradient scheme (MFISTA) on the
-penalized form  mu * g(w) + 0.5 ||u - R w||^2  with an outer continuation
-on mu that steers the residual into a thin window just below eps.
+solved by a monotone accelerated proximal-gradient scheme (MFISTA, Beck &
+Teboulle 2009) on the penalized form  mu * g(w) + 0.5 ||u - R w||^2  with
+an outer continuation on mu that steers the residual into a thin window
+just below eps. Each iterate carries its residual u - R w, so an
+iteration makes one product with R and one with R^T, and the prox's block
+norms give the candidate's penalty. The momentum restarts whenever a prox
+step points uphill (gradient-based adaptive restart, O'Donoghue & Candes
+2015), which cuts the iterations on ill-conditioned dictionaries such as
+[D, I].
 
 A second solver performs l1 error fitting (least absolute deviations),
 used by the occlusion-mask estimator: min_x ||b - A x||_1 is solved as its
@@ -116,9 +122,7 @@ def block_prox(v, t, starts, sizes, weights) -> np.ndarray:
 def _mfista(R, u, w0, mu, step, starts, sizes, weights, max_iters, tol):
     """Minimize mu * block_penalty(w) + 0.5||u - Rw||^2 from w0.
 
-    Returns (w, r, trace, iters) with r = u - R w. Each iterate carries its
-    residual, so an iteration makes one product with R and one with R^T,
-    and the prox's block norms give the candidate's penalty."""
+    Returns (w, r, trace, iters) with r = u - R w."""
     thresholds = step * mu * weights
     x = w0
     r = u - R @ x

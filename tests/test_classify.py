@@ -20,6 +20,8 @@ from occlucode import (
     normalize_vector,
     rdi,
     residual,
+    solve_group_bpdn,
+    solve_l1_bpdn,
     with_identity_block,
 )
 from occlucode.core import FACE, OCCLUSION, normalize_columns
@@ -194,6 +196,29 @@ def test_classify_structured_block_exclusive_orthogonal():
     w = out.coefficients.values
     assert np.max(np.abs(w[4:])) < 1e-8
     assert out.face_label == "a"
+
+
+@pytest.mark.parametrize("mode", ["structured", "l1", "src"])
+@pytest.mark.parametrize("max_iters, converged", [(2000, True), (5, False)])
+def test_outcome_carries_solve_stats(rng, mode, max_iters, converged):
+    spec, train, test = _clean_gallery(seed=3)
+    R = build_compound([train], [occ_dictionary(rng, 120, 4)])
+    u = normalize_vector(test[0][0])
+    solver = SolverConfig(epsilon=0.05, max_iters=max_iters, max_continuation=3)
+    if mode == "src":
+        cfg = ClassifierConfig(
+            sparsity_mode="l1", solver=solver, baseline_identity_occlusion=True
+        )
+        out = classify_src_baseline(u, train, cfg)
+        rep = solve_l1_bpdn(u, with_identity_block(train), solver)
+    else:
+        out = classify(u, R, ClassifierConfig(sparsity_mode=mode, solver=solver))
+        solve = solve_group_bpdn if mode == "structured" else solve_l1_bpdn
+        rep = solve(u, R, solver)
+    assert rep.converged is converged
+    assert (out.iterations, out.converged) == (rep.iterations, rep.converged)
+    assert out.iterations > 0
+    assert np.array_equal(out.coefficients.values, rep.coefficients.values)
 
 
 def test_classify_requires_face_blocks(rng):

@@ -363,6 +363,33 @@ def test_config_flag_other_value_exits_1(corpus, tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+def test_labeled_typo_exits_1(corpus, tmp_path):
+    cfg = _write_config(tmp_path, "labeled = ture\n")
+    base = ["collect", "--corpus", corpus, "--strategy", "soc"] + MASK_FLAGS
+    assert main(base + ["--out", str(tmp_path / "o1"), "--config", cfg]) == 1
+    assert main(base + ["--out", str(tmp_path / "o2"), "--labeled", "ture"]) == 1
+    assert not (tmp_path / "o1").exists() and not (tmp_path / "o2").exists()
+
+
+def test_labeled_false_collects_with_the_lcd(corpus, tmp_path):
+    from occlucode.imageio import load_matrix
+
+    # the LCD of this 4-class gallery has 16 atoms, so h must be at most 16
+    base = ["collect", "--corpus", corpus, "--strategy", "soc", "--h", "8"] + MASK_FLAGS
+    mats = []
+    for value in ("false", "NO"):
+        out = tmp_path / value
+        assert main(base + ["--out", str(out), "--labeled", value]) == 0
+        mat, meta = load_matrix(str(out / "samples_band"))
+        assert meta["labeled"] is False
+        mats.append(mat)
+    assert np.array_equal(mats[0], mats[1])
+    assert main(base + ["--out", str(tmp_path / "true"), "--labeled", "True"]) == 0
+    labeled, meta = load_matrix(str(tmp_path / "true" / "samples_band"))
+    assert meta["labeled"] is True
+    assert not np.array_equal(mats[0], labeled)
+
+
 def test_config_unknown_key_exits_1(corpus, occdict, tmp_path):
     cfg = _write_config(tmp_path, "epsilonn = 0.9\n")
     rc = main(
