@@ -15,8 +15,11 @@ just below eps. Each iterate carries its residual u - R w, so an
 iteration makes one product with R and one with R^T, and the prox's block
 norms give the candidate's penalty. The momentum restarts whenever a prox
 step points uphill (gradient-based adaptive restart, O'Donoghue & Candes
-2015), which cuts the iterations on ill-conditioned dictionaries such as
-[D, I].
+2015). At a fixed mu the restart reaches a given objective accuracy in
+fewer iterations on the group problems. On the l1 problems it needs up to
+twice as many iterations to reach 1e-3 or 1e-4, and fewer only near 1e-8.
+Without momentum the iterate change shrinks sooner, so the tol test also
+stops the restarted loop earlier.
 
 A second solver performs l1 error fitting (least absolute deviations),
 used by the occlusion-mask estimator: min_x ||b - A x||_1 is solved as its
