@@ -13,13 +13,10 @@ Teboulle 2009) on the penalized form  mu * g(w) + 0.5 ||u - R w||^2  with
 an outer continuation on mu that steers the residual into a thin window
 just below eps. Each iterate carries its residual u - R w, so an
 iteration makes one product with R and one with R^T, and the prox's block
-norms give the candidate's penalty. The momentum restarts whenever a prox
-step points uphill (gradient-based adaptive restart, O'Donoghue & Candes
-2015). At a fixed mu the restart reaches a given objective accuracy in
-fewer iterations on the group problems. On the l1 problems it needs up to
-twice as many iterations to reach 1e-3 or 1e-4, and fewer only near 1e-8.
-Without momentum the iterate change shrinks sooner, so the tol test also
-stops the restarted loop earlier.
+norms give the candidate's penalty. The momentum is never restarted:
+gradient-based adaptive restart (O'Donoghue & Candes 2015) saves
+iterations, but the iterate-change test then stops at solutions farther
+from the optimum, and labels follow them.
 
 A second solver performs l1 error fitting (least absolute deviations),
 used by the occlusion-mask estimator: min_x ||b - A x||_1 is solved as its
@@ -94,7 +91,10 @@ _TINY = np.finfo(float).tiny
 
 
 def _block_norms(v, starts):
-    return np.sqrt(np.add.reduceat(v * v, starts))
+    sq = v * v
+    if starts.size < v.size:  # singleton blocks sum nothing
+        sq = np.add.reduceat(sq, starts)
+    return np.sqrt(sq)
 
 
 def block_penalty(w, starts, weights) -> float:
@@ -102,20 +102,18 @@ def block_penalty(w, starts, weights) -> float:
     return float(weights @ _block_norms(w, starts))
 
 
-def _shrink(v, thresholds, starts, sizes):
+def block_prox(v, thresholds, starts, sizes):
     """Shrink each block's norm by its threshold; returns the shrunk vector
-    and its block norms."""
+    and its block norms.
+
+    With thresholds t * c_b this is the prox of t * block_penalty, and
+    weights @ norms is the penalty of the result. ``sizes`` are the block
+    lengths. On singleton blocks this is soft thresholding."""
     norms = np.maximum(_block_norms(v, starts), _TINY)
     scale = np.maximum(0.0, 1.0 - thresholds / norms)
-    return v * np.repeat(scale, sizes), norms * scale
-
-
-def block_prox(v, t, starts, sizes, weights) -> np.ndarray:
-    """Prox of t * block_penalty: shrink each block's norm by t * c_b.
-
-    ``sizes`` are the block lengths. On singleton blocks this is soft
-    thresholding at t * c_b."""
-    return _shrink(v, t * weights, starts, sizes)[0]
+    if scale.size < v.size:
+        return v * np.repeat(scale, sizes), norms * scale
+    return v * scale, norms * scale
 
 
 # ---------------------------------------------------------------------------
@@ -135,14 +133,12 @@ def _mfista(R, u, w0, mu, step, starts, sizes, weights, max_iters, tol):
     trace = [fx]
     it = 0
     for it in range(1, max_iters + 1):
-        z, z_norms = _shrink(y + step * (R.T @ ry), thresholds, starts, sizes)
+        z, z_norms = block_prox(y + step * (R.T @ ry), thresholds, starts, sizes)
         rz = u - R @ z
         fz = 0.5 * (rz @ rz) + mu * (weights @ z_norms)
+        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         x_old, r_old = x, r
         step_z = z - x_old
-        if (y - z) @ step_z > 0.0:
-            t = 1.0  # the step points uphill: restart the momentum
-        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         if fz <= fx:
             # y = z + (t - 1)/t_new (z - x_old), and its residual alike
             x, r, fx = z, rz, fz

@@ -288,13 +288,11 @@ def test_block_prox_matches_loop(rng):
         zero = rng.integers(starts.size)  # one all-zero block
         v[starts[zero] : stops[zero]] = 0.0
         t = float(rng.uniform(0.05, 1.5))
-        got = block_prox(v, t, starts, stops - starts, weights)
+        got, got_norms = block_prox(v, t * weights, starts, stops - starts)
         assert np.allclose(got, loop_prox(v, t, starts, weights), rtol=1e-14, atol=1e-15)
         # the prox's block norms give the penalty of its output
-        z, z_norms = solvers._shrink(v, t * weights, starts, stops - starts)
-        assert np.array_equal(z, got)
-        assert weights @ z_norms == pytest.approx(
-            block_penalty(z, starts, weights), rel=1e-12, abs=1e-12)
+        assert weights @ got_norms == pytest.approx(
+            block_penalty(got, starts, weights), rel=1e-12, abs=1e-12)
         penalty = sum(c * np.linalg.norm(v[a:b]) for a, b, c in zip(starts, stops, weights))
         assert block_penalty(v, starts, weights) == pytest.approx(penalty, rel=1e-14)
 
@@ -304,7 +302,7 @@ def test_block_prox_norm_equal_to_threshold_is_zero():
     v = np.array([3.0, 4.0, 1.0, 0.0])
     starts = np.array([0, 2])
     weights = np.array([2.0, 1.0])
-    got = block_prox(v, 2.5, starts, np.array([2, 2]), weights)
+    got = block_prox(v, 2.5 * weights, starts, np.array([2, 2]))[0]
     assert np.array_equal(got[:2], [0.0, 0.0])
     assert np.array_equal(got, loop_prox(v, 2.5, starts, weights))
 
@@ -313,9 +311,10 @@ def test_block_prox_singletons_soft_threshold(rng):
     v = rng.standard_normal(30)
     v[:3] = 0.0
     weights = rng.uniform(0.5, 1.5, 30)
-    got = block_prox(v, 0.4, np.arange(30), np.ones(30, int), weights)
+    got, got_norms = block_prox(v, 0.4 * weights, np.arange(30), np.ones(30, int))
     soft = np.sign(v) * np.maximum(np.abs(v) - 0.4 * weights, 0.0)
     assert np.allclose(got, soft, rtol=1e-14, atol=1e-16)
+    assert np.allclose(got_norms, np.abs(soft), rtol=1e-14, atol=1e-16)
     assert block_penalty(v, np.arange(30), weights) == pytest.approx(
         np.abs(v) @ weights, rel=1e-14)
 
@@ -357,7 +356,7 @@ def plain_fista(R, u, mu, starts, weights, iters):
     x = y = np.zeros(R.shape[1])
     t = 1.0
     for _ in range(iters):
-        x_new = block_prox(y - R.T @ (R @ y - u) / L, mu / L, starts, sizes, weights)
+        x_new = block_prox(y - R.T @ (R @ y - u) / L, mu / L * weights, starts, sizes)[0]
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         y = x_new + ((t - 1.0) / t_new) * (x_new - x)
         x, t = x_new, t_new
@@ -386,7 +385,7 @@ def test_mfista_carried_residual_and_monotone_trace(rng, kind):
         x, r, trace, it = run_mfista(R, u, mu, starts, weights, w0, max_iters, 1e-12)
         assert np.max(np.abs(r - (u - R @ x))) <= 1e-10
         assert len(trace) == it + 1
-        assert np.all(np.diff(trace) <= 0.0)  # non-increasing with restarts
+        assert np.all(np.diff(trace) <= 0.0)  # monotone acceptance
         assert trace[-1] == pytest.approx(
             penalized_objective(R, u, mu, x, starts, weights), rel=1e-12, abs=1e-12)
 
@@ -398,8 +397,8 @@ def test_mfista_reaches_plain_fista_objective(rng, kind):
     ref = penalized_objective(
         R, u, mu, plain_fista(R, u, mu, starts, weights, 30000), starts, weights)
     x, _, trace, it = run_mfista(
-        R, u, mu, starts, weights, np.zeros(R.shape[1]), 20000, 1e-12)
-    assert it < 20000  # stopped by the tolerance, not the cap
+        R, u, mu, starts, weights, np.zeros(R.shape[1]), 50000, 1e-12)
+    assert it < 50000  # stopped by the tolerance, not the cap
     assert abs(trace[-1] - ref) <= 1e-8 * ref
 
 
