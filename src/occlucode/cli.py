@@ -19,6 +19,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import os
@@ -155,17 +156,11 @@ class StageTimer:
     def __init__(self):
         self.stages = []
 
+    @contextlib.contextmanager
     def time(self, name):
-        timer = self
-
-        class _Ctx:
-            def __enter__(self_inner):
-                self_inner.t0 = time.perf_counter()
-
-            def __exit__(self_inner, *exc):
-                timer.stages.append((name, time.perf_counter() - self_inner.t0))
-
-        return _Ctx()
+        t0 = time.perf_counter()
+        yield
+        self.stages.append((name, time.perf_counter() - t0))
 
     def write(self, out_dir):
         with open(os.path.join(out_dir, "timings.txt"), "w") as f:

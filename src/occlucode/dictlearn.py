@@ -9,7 +9,9 @@ occluded gallery images:
   esrc  -- difference from the sub-dictionary centroid
 
 The collected samples are redundant; K-SVD compresses them into a small
-single-block occlusion dictionary.
+single-block occlusion dictionary. Its coding step is orthogonal matching
+pursuit at the exact sparsity budget; a sample keeps its previous code when
+that represents it better, so the representation error never increases.
 """
 
 from __future__ import annotations
@@ -152,34 +154,26 @@ def _fix_sign(v: np.ndarray) -> float:
     return -1.0 if v[j] < 0 else 1.0
 
 
-def _sparse_code_l1(D, s, budget, prev_code, tol=1e-10):
-    """l1-penalized code, truncated to the budget largest entries and
-    least-squares refit on that support; never worse than prev_code."""
-    DtD = D.T @ D
-    Dts = D.T @ s
-    L = max(np.linalg.eigvalsh(DtD)[-1], 1e-12)
-    mu = 0.1 * np.max(np.abs(Dts), initial=0.0)
-    a = np.zeros(D.shape[1])
-    if mu > 0:
-        step = 1.0 / L
-        for _ in range(200):
-            g = DtD @ a - Dts
-            a_new = np.sign(a - step * g) * np.maximum(
-                np.abs(a - step * g) - step * mu, 0.0
-            )
-            if np.linalg.norm(a_new - a) <= tol * max(1.0, np.linalg.norm(a)):
-                a = a_new
-                break
-            a = a_new
-    support = np.argsort(-np.abs(a), kind="stable")[:budget]
-    support = support[np.abs(a[support]) > 0]
-    refit = np.zeros(D.shape[1])
-    if support.size:
+def _omp_code(D, s, budget, prev_code):
+    """Orthogonal matching pursuit: up to `budget` atoms, each the one most
+    correlated with the residual, with a least-squares refit on the support
+    after every pick; never worse than prev_code."""
+    code = np.zeros(D.shape[1])
+    support: list[int] = []
+    r = s
+    for _ in range(min(budget, D.shape[1])):
+        corr = np.abs(D.T @ r)
+        corr[support] = 0.0  # zero in exact arithmetic; rounding must not re-pick
+        j = int(np.argmax(corr))
+        if corr[j] == 0.0:
+            break  # the residual is zero or orthogonal to every atom left
+        support.append(j)
         sol, *_ = np.linalg.lstsq(D[:, support], s, rcond=None)
-        refit[support] = sol
+        code[support] = sol
+        r = s - D[:, support] @ sol
     # monotonicity guard: keep whichever code represents s better
-    if np.linalg.norm(s - D @ refit) <= np.linalg.norm(s - D @ prev_code):
-        return refit
+    if np.linalg.norm(r) <= np.linalg.norm(s - D @ prev_code):
+        return code
     return prev_code
 
 
@@ -203,7 +197,7 @@ def ksvd_train_with_trace(
     trace = []
     for _ in range(cfg.iterations):
         for j in range(p):
-            A[:, j] = _sparse_code_l1(D, S[:, j], cfg.sparsity_budget, A[:, j])
+            A[:, j] = _omp_code(D, S[:, j], cfg.sparsity_budget, A[:, j])
         for k in range(K):
             users = A[k] != 0.0
             if not np.any(users):

@@ -194,15 +194,17 @@ def test_train_outputs(occdict):
     assert all(b <= a + 1e-10 for a, b in zip(errs, errs[1:]))
 
 
-def test_train_atoms_equal_samples(samples, tmp_path):
-    # atom_count = p: every atom is a (sign-fixed) sample, error ~ 0
+@pytest.mark.parametrize("iterations", [1, 2])
+def test_train_atoms_equal_samples(samples, tmp_path, iterations):
+    # atom_count = p: every atom is a (sign-fixed) sample, so the first
+    # coding step already represents every sample exactly, error ~ 0
     from occlucode.imageio import load_matrix
 
     mat, _ = load_matrix(samples)
     out = tmp_path / "full"
     rc = main(
         ["train", "--samples", samples, "--out", str(out),
-         "--atoms", str(mat.shape[1]), "--iterations", "2",
+         "--atoms", str(mat.shape[1]), "--iterations", str(iterations),
          "--sparsity-budget", "1"]
     )
     assert rc == 0

@@ -21,7 +21,7 @@ from occlucode import (
     spectrum,
 )
 from occlucode.core import normalize_columns
-from occlucode.dictlearn import OcclusionSampleSet
+from occlucode.dictlearn import OcclusionSampleSet, _omp_code
 from occlucode.errors import EmptySamplesError, ZeroPatternError
 
 from conftest import random_dictionary
@@ -159,6 +159,43 @@ def test_sample_set_rejects_non_finite():
 
 # ---------------------------------------------------------------------------
 # K-SVD
+
+
+@pytest.mark.parametrize("budget", [1, 2, 4])
+def test_omp_orthonormal_keeps_largest_correlations(rng, budget):
+    D, _ = np.linalg.qr(rng.standard_normal((12, 6)))
+    s = rng.standard_normal(12)
+    code = _omp_code(D, s, budget, np.zeros(6))
+    Dts = D.T @ s
+    keep = np.argsort(-np.abs(Dts))[:budget]
+    expect = np.zeros(6)
+    expect[keep] = Dts[keep]
+    assert np.allclose(code, expect, atol=1e-12)
+    assert np.count_nonzero(code) == budget
+
+
+@pytest.mark.parametrize("budget", [5, 7])
+def test_omp_full_budget_is_least_squares(rng, budget):
+    D = normalize_columns(rng.standard_normal((10, 5)))
+    s = rng.standard_normal(10)
+    code = _omp_code(D, s, budget, np.zeros(5))
+    expect, *_ = np.linalg.lstsq(D, s, rcond=None)
+    assert np.allclose(code, expect, atol=1e-10)
+
+
+def test_omp_guard_keeps_exact_previous_code():
+    # s = a1 + a2, but a3 correlates with s more than a1 or a2 do: greedy
+    # OMP picks a3 first and cannot represent s with two atoms
+    D = np.array([[1.0, 0.0, 1.0 / 1.5],
+                  [0.0, 1.0, 1.0 / 1.5],
+                  [0.0, 0.0, 0.5 / 1.5],
+                  [0.0, 0.0, 0.0]])
+    s = D[:, 0] + D[:, 1]
+    greedy = _omp_code(D, s, 2, np.zeros(3))
+    assert greedy[2] != 0.0
+    assert np.linalg.norm(s - D @ greedy) > 0.1
+    prev = np.array([1.0, 1.0, 0.0])
+    assert np.array_equal(_omp_code(D, s, 2, prev), prev)
 
 
 def test_ksvd_rank1_recovery(rng):
