@@ -22,6 +22,7 @@ from .classify import (
     ClassifierConfig,
     build_compound,
     classify,
+    classify_many,
     classify_src_baseline,
     rdi,
     with_identity_block,

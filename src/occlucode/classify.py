@@ -11,7 +11,7 @@ index (k * min / sum) drives rejection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,7 +25,14 @@ from .core import (
     normalize_vector,
 )
 from .errors import DegenerateError, DimMismatchError
-from .solvers import SolveReport, SolverConfig, solve_group_bpdn, solve_l1_bpdn
+from .solvers import (
+    SolveReport,
+    SolverConfig,
+    solve_group_bpdn,
+    solve_group_bpdn_many,
+    solve_l1_bpdn,
+    solve_l1_bpdn_many,
+)
 
 L1 = "l1"
 STRUCTURED = "structured"
@@ -118,6 +125,20 @@ def classify(
     return _decide(u, R, report, cfg)
 
 
+def classify_many(
+    us: list[ImageVector], R: BlockedDictionary, cfg: ClassifierConfig
+) -> list[ClassificationOutcome]:
+    """classify of each of us, with all of them coded together over R."""
+    us = [normalize_vector(u) for u in us]
+    if not R.face_blocks:
+        raise DimMismatchError("compound dictionary has no face blocks")
+    if cfg.sparsity_mode == STRUCTURED:
+        reports = solve_group_bpdn_many(us, R, cfg.solver)
+    else:
+        reports = solve_l1_bpdn_many(us, R, cfg.solver)
+    return [_decide(u, R, report, cfg) for u, report in zip(us, reports)]
+
+
 def _decide(u, R, report: SolveReport, cfg) -> ClassificationOutcome:
     coef = report.coefficients
     face_blocks = R.face_blocks
@@ -169,10 +190,8 @@ def with_identity_block(D: BlockedDictionary) -> BlockedDictionary:
 def classify_src_baseline(
     u: ImageVector, D: BlockedDictionary, cfg: ClassifierConfig
 ) -> ClassificationOutcome:
-    """Baseline classifier coding over [D, I] with plain l1 sparsity."""
+    """Baseline classifier: classify in l1 mode over [D, I], the gallery
+    and an identity occlusion block."""
     if not cfg.baseline_identity_occlusion:
         raise ValueError("baseline mode requires baseline_identity_occlusion=True")
-    u = normalize_vector(u)
-    R = with_identity_block(D)
-    report = solve_l1_bpdn(u, R, cfg.solver)
-    return _decide(u, R, report, cfg)
+    return classify(u, with_identity_block(D), replace(cfg, sparsity_mode=L1))

@@ -33,8 +33,8 @@ from .classify import (
     STRUCTURED,
     ClassifierConfig,
     build_compound,
-    classify,
-    classify_src_baseline,
+    classify_many,
+    with_identity_block,
 )
 from .core import (
     FACE,
@@ -341,8 +341,8 @@ def cmd_train(args) -> int:
 
 def run_classification(gallery, occ_dicts, probes, args):
     """Classify each (row, vector) probe over the gallery and the occlusion
-    dictionaries, all at the probes' resolution; returns (row, outcome)
-    pairs."""
+    dictionaries, all at the probes' resolution and all coded together;
+    returns (row, outcome) pairs."""
     cfg = from_options(
         ClassifierConfig,
         args,
@@ -351,9 +351,11 @@ def run_classification(gallery, occ_dicts, probes, args):
         baseline_identity_occlusion=(args.mode == SRC_MODE),
     )
     if args.mode == SRC_MODE:
-        return [(row, classify_src_baseline(u, gallery, cfg)) for row, u in probes]
-    compound = build_compound([gallery], occ_dicts)
-    return [(row, classify(u, compound, cfg)) for row, u in probes]
+        R = with_identity_block(gallery)
+    else:
+        R = build_compound([gallery], occ_dicts)
+    outcomes = classify_many([u for _, u in probes], R, cfg)
+    return [(row, outcome) for (row, _), outcome in zip(probes, outcomes)]
 
 
 def classify_corpus(args):

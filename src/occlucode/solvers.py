@@ -13,10 +13,12 @@ Teboulle 2009) on the penalized form  mu * g(w) + 0.5 ||u - R w||^2  with
 an outer continuation on mu that steers the residual into a thin window
 just below eps. Each iterate carries its residual u - R w, so an
 iteration makes one product with R and one with R^T, and the prox's block
-norms give the candidate's penalty. The momentum is never restarted:
-gradient-based adaptive restart (O'Donoghue & Candes 2015) saves
-iterations, but the iterate-change test then stops at solutions farther
-from the optimum, and labels follow them.
+norms give the candidate's penalty. Vectors coded against one dictionary
+are solved together: each keeps its own mu and bracket, and their MFISTA
+iterations run in lockstep, so those products are matrix products. The
+momentum is never restarted: gradient-based adaptive restart (O'Donoghue
+& Candes 2015) saves iterations, but the iterate-change test then stops
+at solutions farther from the optimum, and labels follow them.
 
 A second solver performs l1 error fitting (least absolute deviations),
 used by the occlusion-mask estimator: min_x ||b - A x||_1 is solved as its
@@ -91,8 +93,9 @@ _TINY = np.finfo(float).tiny
 
 
 def _block_norms(v, starts):
+    """Block norms of a vector, or of each column of a matrix."""
     sq = v * v
-    if starts.size < v.size:  # singleton blocks sum nothing
+    if starts.size < len(v):  # singleton blocks sum nothing
         sq = np.add.reduceat(sq, starts)
     return np.sqrt(sq)
 
@@ -108,11 +111,12 @@ def block_prox(v, thresholds, starts, sizes):
 
     With thresholds t * c_b this is the prox of t * block_penalty, and
     weights @ norms is the penalty of the result. ``sizes`` are the block
-    lengths. On singleton blocks this is soft thresholding."""
+    lengths. On singleton blocks this is soft thresholding. A matrix v is
+    shrunk column by column, with a threshold per block and column."""
     norms = np.maximum(_block_norms(v, starts), _TINY)
     scale = np.maximum(0.0, 1.0 - thresholds / norms)
-    if scale.size < v.size:
-        return v * np.repeat(scale, sizes), norms * scale
+    if len(scale) < len(v):
+        return v * np.repeat(scale, sizes, axis=0), norms * scale
     return v * scale, norms * scale
 
 
@@ -159,77 +163,206 @@ def _mfista(R, u, w0, mu, step, starts, sizes, weights, max_iters, tol):
     return x, r, trace, it
 
 
-def _solve_bpdn(u, dictionary, cfg, starts, weights):
-    """Continuation loop steering the residual into [frac*eps, eps]."""
-    R = dictionary.atoms
-    eps = cfg.epsilon
-    u_norm = np.linalg.norm(u)
-    ident = dictionary.fingerprint
-    # smallest mu for which w = 0 is optimal
-    mu_max = float(np.max(_block_norms(R.T @ u, starts) / weights, initial=0.0))
+def _col_dots(A):
+    """The squared norm of each column of A."""
+    return np.einsum("ij,ij->j", A, A)
 
-    if u_norm <= eps or mu_max == 0.0:
-        w = np.zeros(dictionary.n)
+
+def _mfista_many(R, U, W0, mu, step, starts, sizes, weights, max_iters, tol):
+    """_mfista on each column of U from the same column of W0, column j at
+    mu[j], run in lockstep: the products with R and R^T are matrix
+    products and all columns share the momentum t, as they start together.
+    A column leaves at its own iterate-change test.
+
+    Returns (W, Res, traces, iters): the iterates and their residuals
+    u - R w as columns, and each column's objective trace and iterations."""
+    k = U.shape[1]
+    W, Res, iters = np.empty_like(W0), np.empty_like(U), np.zeros(k, dtype=int)
+    live = np.arange(k)  # the original index of each running column
+    thresholds = np.outer(weights, step * mu)
+    x = W0
+    r = U - R @ x
+    fx = 0.5 * _col_dots(r) + mu * (weights @ _block_norms(x, starts))
+    y, ry = x, r
+    t = 1.0
+    rows = [fx]  # rows[i][j] is column j's objective after iteration i
+    for it in range(1, max_iters + 1):
+        z, z_norms = block_prox(y + step * (R.T @ ry), thresholds, starts, sizes)
+        rz = U - R @ z
+        fz = 0.5 * _col_dots(rz) + mu * (weights @ z_norms)
+        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        step_z = z - x
+        acc = fz <= fx
+        if acc.all():
+            beta = (t - 1.0) / t_new
+            y = z + beta * step_z
+            ry = rz + beta * (rz - r)
+            x, r, fx = z, rz, fz
+        else:
+            # each column takes _mfista's accept or reject branch
+            beta = np.where(acc, (t - 1.0) / t_new, t / t_new)
+            x = np.where(acc, z, x)
+            y = x + beta * step_z
+            ry_base = np.where(acc, rz, r)
+            ry = ry_base + beta * (rz - r)
+            r, fx = ry_base, np.where(acc, fz, fx)
+        t = t_new
+        row = np.empty(k)
+        row[live] = fx
+        rows.append(row)
+        done = np.sqrt(_col_dots(step_z)) <= tol * np.maximum(1.0, np.sqrt(_col_dots(x)))
+        if it == max_iters:
+            done[:] = True
+        if done.any():
+            out = live[done]
+            W[:, out], Res[:, out], iters[out] = x[:, done], r[:, done], it
+            if done.all():
+                break
+            keep = ~done
+            live = live[keep]
+            U, x, r, y, ry, thresholds = (a[:, keep] for a in (U, x, r, y, ry, thresholds))
+            mu, fx = mu[keep], fx[keep]
+    trace_rows = np.array(rows)
+    traces = [trace_rows[: last + 1, j].tolist() for j, last in enumerate(iters)]
+    return W, Res, traces, iters
+
+
+class _Continuation:
+    """One probe's search for mu: a bisection on log10(mu) that steers the
+    residual of the penalized solution into [lo, hi]."""
+
+    def __init__(self, u, mu_max, n):
+        self.u = u
+        self.w = np.zeros(n)
+        self.iters = 0
+        self.best = None  # (mu, w, resid, trace) with resid <= hi, largest mu seen
+        log_hi = np.log10(mu_max)
+        self.bracket = [log_hi - 14.0, log_hi]
+        self.mu = 10.0 ** (log_hi - 2.0)
+
+    def update(self, w, r, trace, it, lo, hi) -> bool:
+        """Take the penalized solution at self.mu; True once the search ends."""
+        self.w, self.trace = w, trace
+        self.iters += it
+        self.resid = float(np.linalg.norm(r))
+        if self.resid <= hi:
+            if self.best is None or self.mu > self.best[0]:
+                self.best = (self.mu, w, self.resid, trace)
+            if self.resid >= lo:
+                return True
+            self.bracket[0] = np.log10(self.mu)  # residual too small -> raise mu
+        else:
+            self.bracket[1] = np.log10(self.mu)  # infeasible -> lower mu
+        if self.bracket[1] - self.bracket[0] < 1e-3:
+            return True
+        self.mu = 10.0 ** (0.5 * (self.bracket[0] + self.bracket[1]))
+        return False
+
+    def report(self, ident, starts, weights, hi, tol) -> SolveReport:
+        if self.best is None:
+            # never reached feasibility; report the last iterate honestly
+            w, resid, trace = self.w, self.resid, self.trace
+            converged = resid <= hi + tol
+        else:
+            _, w, resid, trace = self.best
+            converged = True
         return SolveReport(
-            SparseCoefficients(w, ident), 0, float(u_norm), 0.0, True, [0.0]
+            SparseCoefficients(w, ident),
+            self.iters,
+            resid,
+            block_penalty(w, starts, weights),
+            converged,
+            trace,
         )
 
+
+def _solve_bpdn(us, dictionary, cfg, starts, weights):
+    """Continuation loop steering the residual of each vector of us into
+    [frac*eps, eps]; returns a SolveReport per vector.
+
+    Each vector keeps its own mu and bracket. A round solves once at the
+    current mu of every vector still searching: by _mfista when there is
+    one, by _mfista_many when there are more."""
+    R = dictionary.atoms
+    eps = cfg.epsilon
+    ident = dictionary.fingerprint
     step = 1.0 / max(np.linalg.norm(R, 2) ** 2, 1e-12)
     sizes = np.diff(starts, append=dictionary.n)
-
     # residual target window; eps = 0 means "as exact as the tolerance allows"
     hi = eps if eps > 0 else cfg.tol
     lo = cfg.resid_lower_frac * eps
 
-    w = np.zeros(dictionary.n)
-    total_iters = 0
-    best = None  # (mu, w, resid, trace) with resid <= hi, largest mu seen
-    log_hi = np.log10(mu_max)
-    log_lo = log_hi - 14.0
-    bracket = [log_lo, log_hi]
-    mu = 10.0 ** (log_hi - 2.0)
-    for _ in range(cfg.max_continuation):
-        w, r, trace, it = _mfista(
-            R, u, w, mu, step, starts, sizes, weights, cfg.max_iters, cfg.tol
-        )
-        total_iters += it
-        resid = float(np.linalg.norm(r))
-        if resid <= hi:
-            if best is None or mu > best[0]:
-                best = (mu, w, resid, trace)
-            if resid >= lo:
-                break
-            bracket[0] = np.log10(mu)  # residual too small -> raise mu
+    reports = [None] * len(us)
+    live = []  # (index in us, search) of the vectors still searching
+    for j, u in enumerate(us):
+        u_norm = np.linalg.norm(u)
+        # smallest mu for which w = 0 is optimal
+        mu_max = float(np.max(_block_norms(R.T @ u, starts) / weights, initial=0.0))
+        if u_norm <= eps or mu_max == 0.0:
+            w = np.zeros(dictionary.n)
+            reports[j] = SolveReport(
+                SparseCoefficients(w, ident), 0, float(u_norm), 0.0, True, [0.0]
+            )
         else:
-            bracket[1] = np.log10(mu)  # infeasible -> lower mu
-        if bracket[1] - bracket[0] < 1e-3:
+            live.append((j, _Continuation(u, mu_max, dictionary.n)))
+    searches = list(live)
+    for _ in range(cfg.max_continuation):
+        if not live:
             break
-        mu = 10.0 ** (0.5 * (bracket[0] + bracket[1]))
+        cs = [c for _, c in live]
+        if len(cs) == 1:
+            c = cs[0]
+            solved = [_mfista(R, c.u, c.w, c.mu, step, starts, sizes, weights,
+                              cfg.max_iters, cfg.tol)]
+        else:
+            W, Res, traces, iters = _mfista_many(
+                R, np.column_stack([c.u for c in cs]),
+                np.column_stack([c.w for c in cs]), np.array([c.mu for c in cs]),
+                step, starts, sizes, weights, cfg.max_iters, cfg.tol)
+            solved = zip(W.T, Res.T, traces, iters.tolist())
+        live = [(j, c) for (j, c), solution in zip(live, solved)
+                if not c.update(*solution, lo, hi)]
+    for j, c in searches:
+        reports[j] = c.report(ident, starts, weights, hi, cfg.tol)
+    return reports
 
-    if best is None:
-        # never reached feasibility; report the last iterate honestly
-        converged = resid <= hi + cfg.tol
-    else:
-        _, w, resid, trace = best
-        converged = True
-    return SolveReport(
-        SparseCoefficients(w, ident),
-        total_iters,
-        resid,
-        block_penalty(w, starts, weights),
-        converged,
-        trace,
-    )
+
+def _check_dims(us, dictionary):
+    for u in us:
+        if u.m != dictionary.m:
+            raise DimMismatchError(f"u has m={u.m}, dictionary has m={dictionary.m}")
+
+
+def solve_l1_bpdn_many(
+    us: list[ImageVector], dictionary: BlockedDictionary, cfg: SolverConfig
+) -> list[SolveReport]:
+    """solve_l1_bpdn of each of us, all coded together."""
+    _check_dims(us, dictionary)
+    n = dictionary.n
+    return _solve_bpdn([u.data for u in us], dictionary, cfg, np.arange(n), np.ones(n))
 
 
 def solve_l1_bpdn(
     u: ImageVector, dictionary: BlockedDictionary, cfg: SolverConfig
 ) -> SolveReport:
     """min ||w||_1 s.t. ||u - R w||_2 <= eps: singleton blocks of weight 1."""
-    if u.m != dictionary.m:
-        raise DimMismatchError(f"u has m={u.m}, dictionary has m={dictionary.m}")
-    n = dictionary.n
-    return _solve_bpdn(u.data, dictionary, cfg, np.arange(n), np.ones(n))
+    return solve_l1_bpdn_many([u], dictionary, cfg)[0]
+
+
+def solve_group_bpdn_many(
+    us: list[ImageVector], dictionary: BlockedDictionary, cfg: SolverConfig
+) -> list[SolveReport]:
+    """solve_group_bpdn of each of us, all coded together."""
+    _check_dims(us, dictionary)
+    if not dictionary.blocks:
+        raise DimMismatchError("dictionary has no blocks")
+    lam = cfg.lam if cfg.lam is not None else default_group_weight(dictionary)
+    starts = dictionary.starts
+    weights = np.array([1.0 if b.kind == FACE else lam for b in dictionary.blocks])
+    if cfg.q_norm == 1.0:
+        weights = np.repeat(weights, np.diff(starts, append=dictionary.n))
+        starts = np.arange(dictionary.n)
+    return _solve_bpdn([u.data for u in us], dictionary, cfg, starts, weights)
 
 
 def solve_group_bpdn(
@@ -240,17 +373,7 @@ def solve_group_bpdn(
     Face blocks have weight 1, occlusion blocks weight lambda. q = 1 is
     the same weights spread over singleton blocks.
     """
-    if u.m != dictionary.m:
-        raise DimMismatchError(f"u has m={u.m}, dictionary has m={dictionary.m}")
-    if not dictionary.blocks:
-        raise DimMismatchError("dictionary has no blocks")
-    lam = cfg.lam if cfg.lam is not None else default_group_weight(dictionary)
-    starts = dictionary.starts
-    weights = np.array([1.0 if b.kind == FACE else lam for b in dictionary.blocks])
-    if cfg.q_norm == 1.0:
-        weights = np.repeat(weights, np.diff(starts, append=dictionary.n))
-        starts = np.arange(dictionary.n)
-    return _solve_bpdn(u.data, dictionary, cfg, starts, weights)
+    return solve_group_bpdn_many([u], dictionary, cfg)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from occlucode import (
     build_lcd,
     build_sample_set,
     classify,
-    classify_src_baseline,
+    classify_many,
     collect_soc,
     downsample_dictionary,
     downsample_vector,
@@ -44,6 +44,7 @@ from occlucode import (
     solve_group_bpdn,
     solve_l1_bpdn,
     vectorize,
+    with_identity_block,
 )
 from occlucode.cli import main
 from occlucode.core import FACE, normalize_columns
@@ -277,18 +278,17 @@ def test_criterion_05_structured_vs_l1_vs_src(capsys):
     for v, label in test[:200]:
         occluded, _ = apply_occlusion(v, "scarf", spec)
         batch.append((feat(occluded, th, tw), label))
+    us = [u for u, _ in batch]
     acc = {}
     for mode in ("structured", "l1", "src"):
-        correct = 0
-        for u, label in batch:
-            if mode == "src":
-                cfg = ClassifierConfig(sparsity_mode="l1", solver=FAST,
-                                       baseline_identity_occlusion=True)
-                out = classify_src_baseline(u, Dd, cfg)
-            else:
-                cfg = ClassifierConfig(sparsity_mode=mode, solver=FAST)
-                out = classify(u, R, cfg)
-            correct += out.face_label == label
+        if mode == "src":
+            cfg = ClassifierConfig(sparsity_mode="l1", solver=FAST,
+                                   baseline_identity_occlusion=True)
+            outs = classify_many(us, with_identity_block(Dd), cfg)
+        else:
+            cfg = ClassifierConfig(sparsity_mode=mode, solver=FAST)
+            outs = classify_many(us, R, cfg)
+        correct = sum(out.face_label == label for out, (_, label) in zip(outs, batch))
         acc[mode] = correct / len(batch)
     elapsed = time.time() - t0
     ok = (
@@ -487,8 +487,9 @@ def test_criterion_09_dictionary_size_sweep(capsys):
                                         iterations=20, seed=0))
         R = build_compound([Dd], [downsample_dictionary(B, (30, 24), th, tw)])
         cfg = ClassifierConfig(sparsity_mode="structured", solver=FAST)
-        acc[size] = np.mean([classify(u, R, cfg).face_label == label
-                             for u, label in batch])
+        outs = classify_many([u for u, _ in batch], R, cfg)
+        acc[size] = np.mean([out.face_label == label
+                             for out, (_, label) in zip(outs, batch)])
     ok = acc[60] - acc[20] < 0.05 and acc[2] < acc[20]
     report(
         capsys,

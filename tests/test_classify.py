@@ -15,6 +15,7 @@ from occlucode import (
     apply_occlusion,
     build_compound,
     classify,
+    classify_many,
     classify_src_baseline,
     generate_gallery,
     normalize_vector,
@@ -219,6 +220,66 @@ def test_outcome_carries_solve_stats(rng, mode, max_iters, converged):
     assert (out.iterations, out.converged) == (rep.iterations, rep.converged)
     assert out.iterations > 0
     assert np.array_equal(out.coefficients.values, rep.coefficients.values)
+
+
+def _many_case(rng, mode, **solver):
+    """(probes, compound dictionary, config, single-probe classifier) of
+    one coding mode: structured, l1, q_norm = 1 or src. Each inner solve
+    stops by its tolerance, not at max_iters, unless ``solver`` caps it."""
+    spec, train, test = _clean_gallery(seed=3)
+    us = [normalize_vector(v) for v, _ in test[:6]]
+    solver = dict(dict(tol=1e-4, max_iters=5000), **solver)
+    if mode == "q1":
+        solver.update(q_norm=1.0, lam=0.5)
+    solver = SolverConfig(epsilon=0.05, **solver)
+    if mode == "src":
+        cfg = ClassifierConfig(
+            sparsity_mode="l1", solver=solver, baseline_identity_occlusion=True
+        )
+        return us, with_identity_block(train), cfg, (
+            lambda u: classify_src_baseline(u, train, cfg))
+    R = build_compound([train], [occ_dictionary(rng, 120, 4)])
+    cfg = ClassifierConfig(sparsity_mode="l1" if mode == "l1" else "structured",
+                           solver=solver)
+    return us, R, cfg, lambda u: classify(u, R, cfg)
+
+
+def _assert_same_outcome(many, single, atol):
+    assert (many.face_label, many.occlusion_label) == (
+        single.face_label, single.occlusion_label)
+    assert (many.iterations, many.converged) == (single.iterations, single.converged)
+    assert np.max(np.abs(many.coefficients.values - single.coefficients.values)) <= atol
+
+
+MANY_MODES = ["structured", "l1", "q1", "src"]
+
+
+@pytest.mark.parametrize("mode", MANY_MODES)
+def test_classify_many_equals_per_probe(rng, mode):
+    us, R, cfg, single = _many_case(rng, mode)
+    us = us + [us[2]]  # two identical probes
+    outs = classify_many(us, R, cfg)
+    assert len(outs) == len(us)
+    for u, out in zip(us, outs):
+        _assert_same_outcome(out, single(u), 1e-9)
+        assert out.converged
+    assert np.array_equal(outs[2].coefficients.values, outs[-1].coefficients.values)
+
+
+@pytest.mark.parametrize("mode", MANY_MODES)
+def test_classify_many_of_one_is_classify(rng, mode):
+    us, R, cfg, single = _many_case(rng, mode)
+    (out,) = classify_many(us[:1], R, cfg)
+    _assert_same_outcome(out, single(us[0]), 0.0)
+
+
+@pytest.mark.parametrize("mode", MANY_MODES)
+def test_classify_many_reports_nonconverged_columns(rng, mode):
+    us, R, cfg, single = _many_case(rng, mode, max_iters=5, max_continuation=3)
+    outs = classify_many(us, R, cfg)
+    for u, out in zip(us, outs):
+        _assert_same_outcome(out, single(u), 1e-9)
+    assert not all(out.converged for out in outs)
 
 
 def test_classify_requires_face_blocks(rng):

@@ -402,6 +402,60 @@ def test_mfista_reaches_plain_fista_objective(rng, kind):
     assert abs(trace[-1] - ref) <= 1e-8 * ref
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("max_iters", [7, 3000])
+def test_mfista_many_matches_mfista_per_column(rng, kind, max_iters):
+    R, u, starts, weights = penalized_instance(rng, kind)
+    (m, n), k = R.shape, 5
+    U = rng.standard_normal((m, k))
+    U[:, 0] = u
+    U /= np.linalg.norm(U, axis=0)
+    W0 = 0.1 * rng.standard_normal((n, k))  # warm starts
+    mus = np.array([_mu(R, U[:, j], starts, weights, frac)
+                    for j, frac in enumerate((0.3, 0.1, 0.05, 0.02, 0.01))])
+    sizes = np.diff(starts, append=n)
+    step = 1.0 / np.linalg.eigvalsh(R.T @ R)[-1]
+    tol = 1e-6
+    W, Res, traces, iters = solvers._mfista_many(
+        R, U, W0, mus, step, starts, sizes, weights, max_iters, tol)
+    for j in range(k):
+        x, r, trace, it = run_mfista(
+            R, U[:, j].copy(), mus[j], starts, weights, W0[:, j].copy(), max_iters, tol)
+        assert iters[j] == it
+        assert np.max(np.abs(W[:, j] - x)) <= 1e-12
+        assert np.max(np.abs(Res[:, j] - r)) <= 1e-12
+        assert len(traces[j]) == it + 1
+        assert np.max(np.abs(np.subtract(traces[j], trace))) <= 1e-12
+        assert np.all(np.diff(traces[j]) <= 0.0)  # monotone acceptance
+    if max_iters == 7:
+        assert set(iters) == {7}
+    else:
+        assert len(set(iters)) == k  # every column stops at its own iteration
+        assert max(iters) < max_iters
+        # some iteration accepts in one column and rejects in another
+        steps = np.array([np.diff(t[: min(iters) + 1]) for t in traces])
+        assert np.any(np.any(steps == 0, axis=0) & np.any(steps < 0, axis=0))
+
+
+@pytest.mark.parametrize("solve_many, solve", [
+    (solvers.solve_group_bpdn_many, solve_group_bpdn),
+    (solvers.solve_l1_bpdn_many, solve_l1_bpdn),
+])
+def test_solve_many_with_zero_code_probe(rng, solve_many, solve):
+    d = random_dictionary(rng, 30, 24, [("a", 8), ("b", 8), ("c", 8)])
+    u_a, u_b = (vec(d.atoms[:, :8] @ rng.standard_normal(8)) for _ in range(2))
+    tiny = vec(0.01 * rng.standard_normal(30) / np.sqrt(30))  # ||tiny|| <= eps
+    cfg = SolverConfig(epsilon=0.05)
+    reports = solve_many([u_a, tiny, u_b], d, cfg)
+    for u, rep in zip([u_a, tiny, u_b], reports):
+        ref = solve(u, d, cfg)
+        assert (rep.iterations, rep.converged) == (ref.iterations, ref.converged)
+        assert np.max(np.abs(rep.coefficients.values - ref.coefficients.values)) <= 1e-9
+    assert reports[1].iterations == 0
+    assert not np.any(reports[1].coefficients.values)
+    assert reports[0].iterations > 0 and reports[2].iterations > 0
+
+
 # ---------------------------------------------------------------------------
 # l1 error fitting
 
