@@ -1,19 +1,22 @@
 """Command-line front end.
 
 Commands: synth | collect | train | classify | roc | sweep
-Common flags: --config PATH, --seed N, --out DIR, --debug
+Every command takes --config PATH and --out DIR; --seed N is taken by the
+seeded ones (synth, train, sweep) and --debug by collect and classify.
 
 Each command's parser is the one place that knows its options, their
-types, choices and defaults. A configuration file holds ``key = value``
-lines with ``#`` comments; each key must name one of the command's options
-exactly (``q-norm`` for ``--q-norm``). The command's parser reads the file's
-values as ``--key=value`` placed ahead of the explicit flags, so explicit
-flags win and a repeatable option (``occdict``, ``samples``) adds every
-value the file gives it to those on the command line. A flag option
-(``debug``) takes ``true`` or ``false`` in the file. Abbreviated flags are
-not accepted. Exit codes: 0 success, 1 usage error (including an unknown
-config key or a value its option rejects), 2 data error, 3 numerical
-failure.
+types, choices and defaults, and a command has only the options it reads.
+A configuration file holds ``key = value`` lines with ``#`` comments; each
+key must name one of the command's options exactly (``q-norm`` for
+``--q-norm``). The command's parser reads the file's values as
+``--key=value`` placed ahead of the explicit flags, so explicit flags win
+and a repeatable option (``occdict``, ``samples``) adds every value the
+file gives it to those on the command line. A boolean option (``debug``,
+``labeled``) takes true/false/yes/no/1/0, in the file or on the command
+line, and alone as a flag means true. Abbreviated flags are not accepted.
+Exit codes: 0 success, 1 usage error (including an unknown config key, an
+option the command does not take, or a value its option rejects), 2 data
+error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -69,7 +72,6 @@ from .solvers import SolverConfig
 from .synth import CorpusPlan, OcclusionShape, SynthSpec, generate_corpus
 
 SRC_MODE = "src"
-FLAGS = ("debug",)  # options that take no value on the command line
 
 
 class UsageError(Exception):
@@ -97,17 +99,8 @@ def read_config(path: str) -> list[tuple[str, str]]:
 
 def with_config(argv: list[str], command: str, path: str) -> list[str]:
     """argv with the config file's values inserted after the command name
-    as ``--key=value``, ahead of the explicit flags, which therefore win.
-    A flag option takes ``true``, which inserts the bare flag, or ``false``,
-    which inserts nothing."""
-    values = []
-    for key, val in read_config(path):
-        if key not in FLAGS:
-            values.append(f"--{key}={val}")
-        elif val.lower() == "true":
-            values.append(f"--{key}")
-        elif val.lower() != "false":
-            raise UsageError(f"{path}: {key} takes true or false, not {val!r}")
+    as ``--key=value``, ahead of the explicit flags, which therefore win."""
+    values = [f"--{key}={val}" for key, val in read_config(path)]
     i = argv.index(command) + 1
     return argv[:i] + values + argv[i:]
 
@@ -531,24 +524,26 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, help):
         p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.add_argument("--config", help="key = value config file")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", required=True, help="output directory")
-        for name in FLAGS:
-            p.add_argument(f"--{name}", action="store_true")
         return p
+
+    def boolean(p, name, default):
+        p.add_argument(name, type=_flag, nargs="?", const=True, default=default,
+                       help="true/false/yes/no/1/0; alone means true")
 
     def ksvd(p):
         p.add_argument("--sparsity-budget", type=int, default=4)
         p.add_argument("--iterations", type=int, default=20)
+        p.add_argument("--seed", type=int, default=0)
 
     p = command("synth", "generate a synthetic corpus")
     for flag, typ, default in [
         ("--classes", int, 20), ("--samples-per-class", int, 5),
         ("--test-per-class", int, None), ("--height", int, 30),
         ("--width", int, 24), ("--subspace-dim", int, 3),
-        ("--noise-sigma", float, 0.0), ("--collect-classes", int, 0),
-        ("--collect-per-class", int, 3), ("--invalid-classes", int, 0),
-        ("--invalid-per-class", int, 2),
+        ("--noise-sigma", float, 0.0), ("--seed", int, 0),
+        ("--collect-classes", int, 0), ("--collect-per-class", int, 3),
+        ("--invalid-classes", int, 0), ("--invalid-per-class", int, 2),
     ]:
         p.add_argument(flag, type=typ, default=default)
     p.add_argument("--shapes", dest="occlusion_shapes", type=parse_shapes,
@@ -559,7 +554,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("collect", "collect occlusion samples from a corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--strategy", choices=["soc", "ssrc", "esrc"], default="soc")
-    p.add_argument("--labeled", type=_flag, default=True)
+    boolean(p, "--labeled", True)
+    boolean(p, "--debug", False)
     p.add_argument("--h", type=int, default=20)
     p.add_argument("--beta", type=float, default=20.0)
     p.add_argument("--tau-schedule", type=parse_taus,
@@ -575,11 +571,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--atoms", dest="atom_count", type=int, default=30)
     ksvd(p)
 
-    def classifying(name, help):
+    def coding(name, help):
+        """A command that codes the corpus's probes over its gallery."""
         p = command(name, help)
         p.add_argument("--corpus", required=True)
-        p.add_argument("--occdict", action="append", default=[],
-                       help="occlusion dictionary prefix (repeatable)")
         p.add_argument("--mode", choices=[L1, STRUCTURED, SRC_MODE], default=STRUCTURED)
         p.add_argument("--features", type=parse_hw, default=None,
                        help="downsampled feature resolution, e.g. 12x10")
@@ -588,13 +583,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--q-norm", type=float, default=2.0)
         p.add_argument("--max-iters", type=int, default=2000)
         p.add_argument("--tol", type=float, default=1e-6)
-        p.add_argument("--theta-face", type=float, default=0.9)
-        p.add_argument("--theta-occlusion", type=float, default=0.9)
         return p
 
-    classifying("classify", "classify test images")
-    classifying("roc", "rejection-threshold sweep")
-    p = classifying("sweep", "accuracy vs occlusion dictionary size")
+    p = coding("classify", "classify test images")
+    p.add_argument("--occdict", action="append", default=[],
+                   help="occlusion dictionary prefix (repeatable)")
+    p.add_argument("--theta-face", type=float, default=0.9)
+    p.add_argument("--theta-occlusion", type=float, default=0.9)
+    boolean(p, "--debug", False)
+    p = coding("roc", "rejection-threshold sweep")
+    p.add_argument("--occdict", action="append", default=[],
+                   help="occlusion dictionary prefix (repeatable)")
+    p = coding("sweep", "accuracy vs occlusion dictionary size")
+    p.add_argument("--theta-face", type=float, default=0.9)
     p.add_argument("--samples", action="append", required=True)
     p.add_argument("--sizes", type=_sizes, default="2,3,5,7,10,20,30,40,50,60")
     ksvd(p)

@@ -202,7 +202,6 @@ class SparseCoefficients:
     """A coefficient vector aligned to one dictionary's columns."""
 
     values: np.ndarray  # (n,)
-    dict_id: str = ""
 
     def __post_init__(self):
         object.__setattr__(
@@ -344,7 +343,7 @@ def block_select(
         raise DimMismatchError(f"coefficients length {coef.n} != n {dictionary.n}")
     out = np.zeros(coef.n)
     out[b.cols] = coef.values[b.cols]
-    return SparseCoefficients(out, coef.dict_id)
+    return SparseCoefficients(out)
 
 
 def residual(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,6 @@ class MaskEstimate:
     mask: OcclusionMask
     pattern: ImageVector  # final error, zeroed on non-occluded pixels
     iterations: int
-    energy_trace: list = field(default_factory=list)
 
 
 def build_lcd(u: ImageVector, dictionary: BlockedDictionary, h: int) -> BlockedDictionary:
@@ -127,17 +126,14 @@ def estimate_mask(
     edges = grid_edges(*u.shape, cfg.neighborhood)
     z = np.ones(m, dtype=np.int8)
     e_full = None
-    energy_trace: list[float] = []
     it = 0
     for it in range(1, cfg.max_outer_iters + 1):
         tau = taus[min(it - 1, len(taus) - 1)]
         rows = z == 1
         x = l1_regression(basis.atoms[rows], u.data[rows])
         e_full = u.data - basis.atoms @ x
-        # one update_support step and its support_energy, on the grid built once
-        theta0, theta1 = _data_terms(e_full, tau)
-        z_new = maximize_grid_mrf(theta0, theta1, cfg.beta, edges)
-        energy_trace.append(mrf_energy(z_new, theta0, theta1, cfg.beta, edges))
+        # one update_support step, on the grid built once
+        z_new = maximize_grid_mrf(*_data_terms(e_full, tau), cfg.beta, edges)
         if debug_dir is not None:
             _dump_iteration(debug_dir, it, e_full, z_new, u.shape)
         if z_new.mean() < cfg.min_support_fraction:
@@ -150,12 +146,7 @@ def estimate_mask(
             break
     pattern = e_full.copy()
     pattern[z == 1] = 0.0
-    return MaskEstimate(
-        OcclusionMask(z, u.shape),
-        ImageVector(pattern, u.shape),
-        it,
-        energy_trace,
-    )
+    return MaskEstimate(OcclusionMask(z, u.shape), ImageVector(pattern, u.shape), it)
 
 
 def extract_pattern(

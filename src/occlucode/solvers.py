@@ -258,7 +258,7 @@ class _Continuation:
         self.mu = 10.0 ** (0.5 * (self.bracket[0] + self.bracket[1]))
         return False
 
-    def report(self, ident, starts, weights, hi, tol) -> SolveReport:
+    def report(self, starts, weights, hi, tol) -> SolveReport:
         if self.best is None:
             # never reached feasibility; report the last iterate honestly
             w, resid, trace = self.w, self.resid, self.trace
@@ -267,7 +267,7 @@ class _Continuation:
             _, w, resid, trace = self.best
             converged = True
         return SolveReport(
-            SparseCoefficients(w, ident),
+            SparseCoefficients(w),
             self.iters,
             resid,
             block_penalty(w, starts, weights),
@@ -285,7 +285,6 @@ def _solve_bpdn(us, dictionary, cfg, starts, weights):
     one, by _mfista_many when there are more."""
     R = dictionary.atoms
     eps = cfg.epsilon
-    ident = dictionary.fingerprint
     step = 1.0 / max(np.linalg.norm(R, 2) ** 2, 1e-12)
     sizes = np.diff(starts, append=dictionary.n)
     # residual target window; eps = 0 means "as exact as the tolerance allows"
@@ -299,10 +298,9 @@ def _solve_bpdn(us, dictionary, cfg, starts, weights):
         # smallest mu for which w = 0 is optimal
         mu_max = float(np.max(_block_norms(R.T @ u, starts) / weights, initial=0.0))
         if u_norm <= eps or mu_max == 0.0:
-            w = np.zeros(dictionary.n)
-            reports[j] = SolveReport(
-                SparseCoefficients(w, ident), 0, float(u_norm), 0.0, True, [0.0]
-            )
+            # w = 0 is the solution, but it meets the bound only if u does
+            reports[j] = SolveReport(SparseCoefficients(np.zeros(dictionary.n)), 0,
+                                     float(u_norm), 0.0, bool(u_norm <= hi), [0.0])
         else:
             live.append((j, _Continuation(u, mu_max, dictionary.n)))
     searches = list(live)
@@ -323,7 +321,7 @@ def _solve_bpdn(us, dictionary, cfg, starts, weights):
         live = [(j, c) for (j, c), solution in zip(live, solved)
                 if not c.update(*solution, lo, hi)]
     for j, c in searches:
-        reports[j] = c.report(ident, starts, weights, hi, cfg.tol)
+        reports[j] = c.report(starts, weights, hi, cfg.tol)
     return reports
 
 
@@ -440,7 +438,4 @@ def solve_l1_error(
         )
     x = l1_regression(D, u.data)
     e = u.data - D @ x  # exact by construction
-    return (
-        SparseCoefficients(x, dict_small.fingerprint),
-        ImageVector(e, u.shape),
-    )
+    return SparseCoefficients(x), ImageVector(e, u.shape)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -260,20 +260,11 @@ def generate_corpus(spec: SynthSpec, plan: CorpusPlan, out_dir: str) -> str:
     for s in plan.unknown_shapes:
         all_shapes[s.name] = s
 
+    # the spec that knows the unknown shapes too, for apply_occlusion
+    aug = replace(spec, occlusion_shapes=tuple(all_shapes.values()))
+
     def occlude(grid, shape_name):
-        shape = all_shapes[shape_name]
-        aug = SynthSpec(
-            classes=spec.classes,
-            samples_per_class=spec.samples_per_class,
-            height=spec.height,
-            width=spec.width,
-            subspace_dim=spec.subspace_dim,
-            occlusion_shapes=tuple(all_shapes.values()),
-            noise_sigma=spec.noise_sigma,
-            seed=spec.seed,
-            test_per_class=spec.test_per_class,
-        )
-        return apply_occlusion(vectorize(grid), shape.name, aug)
+        return apply_occlusion(vectorize(grid), shape_name, aug)
 
     for i in range(spec.classes):
         label = spec.class_label(i)

@@ -282,6 +282,20 @@ def test_classify_many_reports_nonconverged_columns(rng, mode):
     assert not all(out.converged for out in outs)
 
 
+@pytest.mark.parametrize("mode", ["structured", "l1"])
+def test_zero_code_probe_outside_the_bound_is_not_converged(mode):
+    # R^T u = 0: the code is zero and the residual ||u|| = 1 exceeds eps
+    R = BlockedDictionary(np.eye(4)[:, :2], (Block("a", FACE, 0, 1), Block("b", FACE, 1, 2)))
+    orth = ImageVector(np.array([0.0, 0.0, 0.6, 0.8]), (2, 2))
+    ordinary = ImageVector(np.array([0.6, 0.8, 0.0, 0.0]), (2, 2))
+    cfg = ClassifierConfig(sparsity_mode=mode, solver=SolverConfig(epsilon=0.05))
+    out = classify(orth, R, cfg)
+    assert (out.converged, out.iterations) == (False, 0)
+    outs = classify_many([ordinary, orth], R, cfg)
+    assert [o.converged for o in outs] == [True, False]
+    assert outs[1].iterations == 0
+
+
 def test_classify_requires_face_blocks(rng):
     b = occ_dictionary(rng, 8, 3)
     u = normalize_vector(ImageVector(rng.standard_normal(8), (2, 4)))

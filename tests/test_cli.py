@@ -365,6 +365,59 @@ def test_config_flag_other_value_exits_1(corpus, tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("value", ["false", "true"])
+def test_debug_value_on_the_command_line(corpus, tmp_path, value):
+    # --debug false is no flag; --debug=true is the bare flag and the config key
+    base = ["classify", "--corpus", corpus, "--mode", "l1", "--features", "10x8"]
+    outs = {
+        "value": base + ["--debug", value],
+        "joined": base + [f"--debug={value}"],
+        "config": base + ["--config", _write_config(tmp_path, f"debug = {value}\n")],
+        "flag": base + (["--debug"] if value == "true" else []),
+    }
+    for name, argv in outs.items():
+        assert main(argv + ["--out", str(tmp_path / name)]) == 0
+    digests = {_dir_digest(str(tmp_path / name)) for name in outs}
+    assert len(digests) == 1
+    with open(tmp_path / "flag" / "results.csv") as f:
+        assert ("face_residuals" in f.readline()) == (value == "true")
+
+
+# each option that a command does not read, and the value it is given
+UNREAD = [
+    ("synth", "debug", None),
+    ("collect", "seed", "3"),
+    ("train", "debug", None),
+    ("classify", "seed", "3"),
+    ("roc", "seed", "3"),
+    ("roc", "debug", None),
+    ("roc", "theta-face", "0.5"),
+    ("roc", "theta-occlusion", "0.5"),
+    ("sweep", "debug", None),
+    ("sweep", "occdict", "OCCDICT"),
+    ("sweep", "theta-occlusion", "0.5"),
+]
+
+
+@pytest.mark.parametrize("command, option, value", UNREAD)
+def test_option_the_command_does_not_read_exits_1(
+        corpus, samples, occdict, tmp_path, command, option, value):
+    argv = [command] + {
+        "synth": CORPUS_FLAGS,
+        "collect": ["--corpus", corpus] + MASK_FLAGS,
+        "train": ["--samples", samples, "--atoms", "4", "--iterations", "1"],
+        "classify": ["--corpus", corpus, "--occdict", occdict],
+        "roc": ["--corpus", corpus, "--occdict", occdict],
+        "sweep": ["--corpus", corpus, "--samples", samples, "--sizes", "2"],
+    }[command]
+    value = occdict if value == "OCCDICT" else value
+    flag = [f"--{option}"] + ([value] if value else [])
+    cfg = _write_config(tmp_path, f"{option} = {value or 'true'}\n")
+    assert main(argv + flag + ["--out", str(tmp_path / "flag")]) == 1
+    assert main(argv + ["--config", cfg, "--out", str(tmp_path / "config")]) == 1
+    assert not (tmp_path / "flag").exists() and not (tmp_path / "config").exists()
+
+
 def test_labeled_typo_exits_1(corpus, tmp_path):
     cfg = _write_config(tmp_path, "labeled = ture\n")
     base = ["collect", "--corpus", corpus, "--strategy", "soc"] + MASK_FLAGS

@@ -456,6 +456,25 @@ def test_solve_many_with_zero_code_probe(rng, solve_many, solve):
     assert reports[0].iterations > 0 and reports[2].iterations > 0
 
 
+@pytest.mark.parametrize("solve_many, solve", [
+    (solvers.solve_group_bpdn_many, solve_group_bpdn),
+    (solvers.solve_l1_bpdn_many, solve_l1_bpdn),
+])
+def test_zero_code_probe_outside_the_bound_is_not_converged(solve_many, solve):
+    # R^T u = 0, so w = 0 is the solution, but its residual ||u|| = 1 > eps
+    d = BlockedDictionary(np.eye(4)[:, :2], (Block("a", FACE, 0, 1), Block("b", FACE, 1, 2)))
+    orth, ordinary = vec([0.0, 0.0, 0.6, 0.8]), vec([0.6, 0.8, 0.0, 0.0])
+    cfg = SolverConfig(epsilon=0.05)
+    rep = solve(orth, d, cfg)
+    assert (rep.converged, rep.iterations) == (False, 0)
+    assert rep.final_residual == pytest.approx(1.0)
+    assert not np.any(rep.coefficients.values)
+    first, second = solve_many([ordinary, orth], d, cfg)
+    assert first.converged and first.iterations > 0 and first.final_residual <= 0.05
+    assert (second.converged, second.iterations) == (False, 0)
+    assert second.final_residual == pytest.approx(1.0)
+
+
 # ---------------------------------------------------------------------------
 # l1 error fitting
 
