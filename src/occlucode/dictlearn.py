@@ -103,10 +103,10 @@ def collect_ssrc(u: ImageVector, sub: BlockedDictionary) -> ImageVector:
     """Normalized orthogonal-projection residual of u onto span(sub)."""
     u = normalize_vector(u)
     D = sub.atoms
-    if np.linalg.matrix_rank(D) < D.shape[1]:
+    coef, _, rank, _ = np.linalg.lstsq(D, u.data, rcond=None)
+    if rank < D.shape[1]:
         warnings.warn("sub-dictionary is rank deficient; using pseudo-inverse",
                       RankDeficientWarning)
-    coef, *_ = np.linalg.lstsq(D, u.data, rcond=None)
     resid = u.data - D @ coef
     return _normalize_or_zero(resid, u.shape)
 

@@ -18,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FACE, Block, BlockedDictionary, ImageVector, OcclusionMask
+from .core import FACE, Block, BlockedDictionary, ImageGrid, ImageVector, OcclusionMask
 from .errors import BadHError, DegenerateError, DimMismatchError, ZeroPatternError
 from .graphcut import grid_edges, maximize_grid_mrf, mrf_energy
+from .imageio import write_pgm
 from .solvers import l1_regression
 
 DEFAULT_TAU_SCHEDULE = tuple(np.arange(0.005, 0.002 - 2.5e-4, -0.0005).round(6))
@@ -163,9 +164,6 @@ def extract_pattern(
 
 
 def _dump_iteration(debug_dir, it, e_full, z, shape):
-    from .imageio import write_pgm  # local import to avoid a cycle
-    from .core import ImageGrid
-
     os.makedirs(debug_dir, exist_ok=True)
     h, w = shape
     err = np.abs(e_full)

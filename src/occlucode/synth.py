@@ -44,6 +44,8 @@ class OcclusionShape:
             raise BadSpecError(f"unknown region kind {self.region!r}")
         if not (0 < self.fraction < 1):
             raise BadSpecError("area fraction must lie in (0, 1)")
+        if not self.name:
+            raise BadSpecError('shape name must not be empty ("" means clean)')
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,10 @@ class SynthSpec:
         if self.noise_sigma < 0:
             raise BadSpecError("noise_sigma must be >= 0")
         object.__setattr__(self, "occlusion_shapes", tuple(self.occlusion_shapes))
+        names = [s.name for s in self.occlusion_shapes]
+        for name in names:
+            if names.count(name) > 1:
+                raise BadSpecError(f"occlusion shape name {name!r} is used twice")
 
     @property
     def n_test(self) -> int:
@@ -77,7 +83,7 @@ class SynthSpec:
         for s in self.occlusion_shapes:
             if s.name == name:
                 return s
-        raise UnknownShapeError(name)
+        raise UnknownShapeError(f"unknown occlusion shape {name!r}")
 
     def class_label(self, i: int) -> str:
         return f"class{i:03d}"
@@ -230,86 +236,50 @@ class CorpusPlan:
 
 def generate_corpus(spec: SynthSpec, plan: CorpusPlan, out_dir: str) -> str:
     """Write PGM images, ground-truth masks and the manifest; returns the
-    manifest path."""
+    manifest path. Every shape name is resolved before the first write."""
+    # the spec that knows the unknown shapes too, for apply_occlusion; its
+    # __post_init__ rejects an unknown shape that reuses a training name
+    aug = replace(spec, occlusion_shapes=spec.occlusion_shapes + tuple(plan.unknown_shapes))
+    test_names = plan.test_shapes or ("",)
+    for name in test_names:
+        if name:
+            aug.shape_named(name)
     os.makedirs(out_dir, exist_ok=True)
+    bases = _class_bases(spec, spec.classes + plan.invalid_classes)
     rows = []
-    n_total = spec.classes + plan.invalid_classes
-    bases = _class_bases(spec, n_total)
 
-    def emit(grid, name, face_label, occ_label, mask, role):
-        path = name + ".pgm"
-        write_pgm(os.path.join(out_dir, path), grid)
-        mask_path = "-"
-        if mask is not None:
-            mask_path = name + "_mask.pgm"
-            write_pgm(
-                os.path.join(out_dir, mask_path),
-                ImageGrid(*mask.shape, np.asarray(mask.support, dtype=float).reshape(mask.shape)),
+    def emit(role, prefix, i, label, purpose, count, shape_names):
+        """Write class i's faces, face j occluded by shape_names[j % len]
+        ("" = clean), each with its mask and manifest row."""
+        for j, g in enumerate(_faces_for_class(spec, bases[i], i, purpose, count)):
+            name = f"{prefix}_{label}_{j:02d}"
+            shape_name = shape_names[j % len(shape_names)]
+            mask_path = "-"
+            if shape_name:
+                occ, mask = apply_occlusion(vectorize(g), shape_name, aug)
+                g, mask_path = occ.to_grid(), name + "_mask.pgm"
+                support = np.asarray(mask.support, dtype=float).reshape(mask.shape)
+                write_pgm(os.path.join(out_dir, mask_path), ImageGrid(*mask.shape, support))
+            write_pgm(os.path.join(out_dir, name + ".pgm"), g)
+            rows.append(
+                {
+                    "path": name + ".pgm",
+                    "face_label": label,
+                    "occlusion_label": shape_name or "-",
+                    "mask_path": mask_path,
+                    "role": role,
+                }
             )
-        rows.append(
-            {
-                "path": path,
-                "face_label": face_label,
-                "occlusion_label": occ_label,
-                "mask_path": mask_path,
-                "role": role,
-            }
-        )
-
-    all_shapes = {s.name: s for s in spec.occlusion_shapes}
-    for s in plan.unknown_shapes:
-        all_shapes[s.name] = s
-
-    # the spec that knows the unknown shapes too, for apply_occlusion
-    aug = replace(spec, occlusion_shapes=tuple(all_shapes.values()))
-
-    def occlude(grid, shape_name):
-        return apply_occlusion(vectorize(grid), shape_name, aug)
 
     for i in range(spec.classes):
         label = spec.class_label(i)
-        for j, g in enumerate(
-            _faces_for_class(spec, bases[i], i, "train", spec.samples_per_class)
-        ):
-            emit(g, f"gallery_{label}_{j:02d}", label, "-", None, "gallery")
-        for j, g in enumerate(_faces_for_class(spec, bases[i], i, "test", spec.n_test)):
-            shapes = plan.test_shapes or ("",)
-            shape_name = shapes[j % len(shapes)]
-            if shape_name:
-                occ, mask = occlude(g, shape_name)
-                emit(occ.to_grid(), f"test_{label}_{j:02d}", label, shape_name, mask, "test")
-            else:
-                emit(g, f"test_{label}_{j:02d}", label, "-", None, "test")
-
+        emit("gallery", "gallery", i, label, "train", spec.samples_per_class, ("",))
+        emit("test", "test", i, label, "test", spec.n_test, test_names)
     for i in range(min(plan.collect_classes, spec.classes)):
-        label = spec.class_label(i)
         for shape in spec.occlusion_shapes:
-            for j, g in enumerate(
-                _faces_for_class(
-                    spec, bases[i], i, f"collect-{shape.name}", plan.collect_per_class
-                )
-            ):
-                occ, mask = occlude(g, shape.name)
-                emit(
-                    occ.to_grid(),
-                    f"collect_{shape.name}_{label}_{j:02d}",
-                    label,
-                    shape.name,
-                    mask,
-                    "collect",
-                )
-
-    for i in range(spec.classes, n_total):
-        label = f"invalid{i - spec.classes:03d}"
-        for j, g in enumerate(
-            _faces_for_class(spec, bases[i], i, "invalid", plan.invalid_per_class)
-        ):
-            shapes = plan.test_shapes or ("",)
-            shape_name = shapes[j % len(shapes)]
-            if shape_name:
-                occ, mask = occlude(g, shape_name)
-                emit(occ.to_grid(), f"invalid_{label}_{j:02d}", label, shape_name, mask, "invalid")
-            else:
-                emit(g, f"invalid_{label}_{j:02d}", label, "-", None, "invalid")
-
+            emit("collect", f"collect_{shape.name}", i, spec.class_label(i),
+                 f"collect-{shape.name}", plan.collect_per_class, (shape.name,))
+    for i in range(spec.classes, len(bases)):
+        emit("invalid", "invalid", i, f"invalid{i - spec.classes:03d}", "invalid",
+             plan.invalid_per_class, test_names)
     return write_manifest(out_dir, rows)

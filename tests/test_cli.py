@@ -127,6 +127,27 @@ def test_synth_deterministic(tmp_path):
     assert digests[0] == digests[1]
 
 
+SMALL_SYNTH = ["--classes", "2", "--samples-per-class", "2", "--subspace-dim", "1"]
+
+
+@pytest.mark.parametrize(
+    "flags, name",
+    [
+        (["--shapes", "r:rectangle:0.2,r:lower-band:0.5",
+          "--collect-classes", "1", "--collect-per-class", "1"], "r"),
+        (["--shapes", "r:rectangle:0.2", "--unknown-shapes", "r:upper-band:0.3",
+          "--collect-classes", "1", "--collect-per-class", "1"], "r"),
+        (["--test-shapes", "zz"], "zz"),
+    ],
+    ids=["repeated-shape", "unknown-reuses-training-name", "undefined-test-shape"],
+)
+def test_synth_bad_shape_name_writes_nothing(tmp_path, capsys, flags, name):
+    out = tmp_path / "corpus"
+    assert main(["synth", "--out", str(out)] + SMALL_SYNTH + flags) == 2
+    assert not out.exists()
+    assert f"'{name}'" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # collect / train
 

@@ -1,9 +1,13 @@
 """Occlusion-sample collection strategies and K-SVD compression."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from occlucode import (
+    Block,
+    BlockedDictionary,
     ImageVector,
     KsvdConfig,
     MaskEstimatorConfig,
@@ -20,9 +24,9 @@ from occlucode import (
     normalize_vector,
     spectrum,
 )
-from occlucode.core import normalize_columns
+from occlucode.core import FACE, normalize_columns
 from occlucode.dictlearn import OcclusionSampleSet, _omp_code
-from occlucode.errors import EmptySamplesError, ZeroPatternError
+from occlucode.errors import EmptySamplesError, RankDeficientWarning, ZeroPatternError
 
 from conftest import random_dictionary
 
@@ -110,6 +114,18 @@ def test_collect_ssrc_matches_normal_equations(rng):
     assert np.allclose(out.data * np.linalg.norm(expect), expect, atol=1e-10)
     # orthogonality of the raw residual
     assert np.max(np.abs(D.T @ expect)) < 1e-8
+
+
+def test_collect_ssrc_warns_only_when_rank_deficient(rng):
+    sub = random_dictionary(rng, 10, 3)
+    u = ImageVector(rng.uniform(0.1, 1.0, 10), (2, 5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RankDeficientWarning)
+        collect_ssrc(u, sub)
+    atoms = np.column_stack([sub.atoms, sub.atoms[:, 0]])  # atom 0 repeated
+    repeated = BlockedDictionary(atoms, (Block("all", FACE, 0, 4),))
+    with pytest.warns(RankDeficientWarning):
+        collect_ssrc(u, repeated)
 
 
 def test_collect_esrc_centroid_is_zero(rng):

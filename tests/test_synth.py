@@ -149,8 +149,16 @@ def test_category_textures_distinct():
 def test_unknown_shape_raises():
     spec = _spec_with((OcclusionShape("r", "rectangle", 0.25),))
     _, test = generate_gallery(spec)
-    with pytest.raises(UnknownShapeError):
+    with pytest.raises(UnknownShapeError, match="unknown occlusion shape 'nope'"):
         apply_occlusion(test[0][0], "nope", spec)
+
+
+def test_shape_names_nonempty_and_unique():
+    with pytest.raises(BadSpecError):
+        OcclusionShape("", "rectangle", 0.25)
+    with pytest.raises(BadSpecError, match="'r'"):
+        _spec_with((OcclusionShape("r", "rectangle", 0.25),
+                    OcclusionShape("r", "lower-band", 0.5)))
 
 
 # ---------------------------------------------------------------------------
@@ -212,3 +220,52 @@ def test_generate_corpus_deterministic(tmp_path):
             h.update(p.read_bytes())
         digests.append(h.hexdigest())
     assert digests[0] == digests[1]
+
+
+def test_generate_corpus_manifest_layout(tmp_path):
+    # every role, two training shapes, one unknown shape, a clean test slot
+    spec = SynthSpec(
+        classes=2,
+        samples_per_class=2,
+        test_per_class=3,
+        height=10,
+        width=8,
+        subspace_dim=1,
+        occlusion_shapes=(
+            OcclusionShape("r", "rectangle", 0.25),
+            OcclusionShape("s", "upper-band", 0.2),
+        ),
+        seed=4,
+    )
+    plan = CorpusPlan(
+        collect_classes=1,
+        collect_per_class=2,
+        test_shapes=("r", "", "u"),
+        invalid_classes=1,
+        invalid_per_class=3,
+        unknown_shapes=(OcclusionShape("u", "lower-band", 0.3),),
+    )
+    generate_corpus(spec, plan, str(tmp_path))
+    # per class: gallery then test rows; then collect per shape; then invalid
+    expected = [
+        ("gallery_class000_00.pgm", "class000", "-", "-", "gallery"),
+        ("gallery_class000_01.pgm", "class000", "-", "-", "gallery"),
+        ("test_class000_00.pgm", "class000", "r", "test_class000_00_mask.pgm", "test"),
+        ("test_class000_01.pgm", "class000", "-", "-", "test"),
+        ("test_class000_02.pgm", "class000", "u", "test_class000_02_mask.pgm", "test"),
+        ("gallery_class001_00.pgm", "class001", "-", "-", "gallery"),
+        ("gallery_class001_01.pgm", "class001", "-", "-", "gallery"),
+        ("test_class001_00.pgm", "class001", "r", "test_class001_00_mask.pgm", "test"),
+        ("test_class001_01.pgm", "class001", "-", "-", "test"),
+        ("test_class001_02.pgm", "class001", "u", "test_class001_02_mask.pgm", "test"),
+        ("collect_r_class000_00.pgm", "class000", "r", "collect_r_class000_00_mask.pgm", "collect"),
+        ("collect_r_class000_01.pgm", "class000", "r", "collect_r_class000_01_mask.pgm", "collect"),
+        ("collect_s_class000_00.pgm", "class000", "s", "collect_s_class000_00_mask.pgm", "collect"),
+        ("collect_s_class000_01.pgm", "class000", "s", "collect_s_class000_01_mask.pgm", "collect"),
+        ("invalid_invalid000_00.pgm", "invalid000", "r", "invalid_invalid000_00_mask.pgm", "invalid"),
+        ("invalid_invalid000_01.pgm", "invalid000", "-", "-", "invalid"),
+        ("invalid_invalid000_02.pgm", "invalid000", "u", "invalid_invalid000_02_mask.pgm", "invalid"),
+    ]
+    rows = read_manifest(str(tmp_path))
+    fields = ("path", "face_label", "occlusion_label", "mask_path", "role")
+    assert [tuple(r[k] for k in fields) for r in rows] == expected
