@@ -4,8 +4,10 @@ Commands: synth | collect | train | classify | roc | sweep
 Every command takes --config PATH and --out DIR; --seed N is taken by the
 seeded ones (synth, train, sweep) and --debug by collect and classify.
 
-Each command's parser is the one place that knows its options, their
-types, choices and defaults, and a command has only the options it reads.
+Each command's parser knows its options, their types and choices, and a
+command has only the options it reads. Defaults live in the config
+dataclasses alone: an option named like a field has none of its own, so
+left out, the field keeps its dataclass default.
 A configuration file holds ``key = value`` lines with ``#`` comments; each
 key must name one of the command's options exactly (``q-norm`` for
 ``--q-norm``). The command's parser reads the file's values as
@@ -50,6 +52,7 @@ from .core import (
     vectorize,
 )
 from .dictlearn import (
+    SAMPLE_DROP_TOL,
     KsvdConfig,
     OcclusionSampleSet,
     build_sample_set,
@@ -283,8 +286,9 @@ def cmd_collect(args) -> int:
             except (DegenerateError, ZeroPatternError) as exc:
                 rejected.append([row["path"], type(exc).__name__, str(exc)])
                 continue
-            if np.linalg.norm(pattern.data) < 1e-6:
-                rejected.append([row["path"], "NearZeroSample", "norm below 1e-6"])
+            if np.linalg.norm(pattern.data) < SAMPLE_DROP_TOL:
+                tol = np.format_float_scientific(SAMPLE_DROP_TOL, trim="-", exp_digits=1)
+                rejected.append([row["path"], "NearZeroSample", f"norm below {tol}"])
                 continue
             by_category.setdefault(category, []).append(pattern)
 
@@ -508,7 +512,8 @@ def _flag(text: str) -> bool:
 
 
 def _names(text: str) -> tuple[str, ...]:
-    return tuple(x for x in text.split(",") if x)
+    """Comma-separated shape names, an empty one a clean slot; "" is none."""
+    return tuple(text.split(",")) if text else ()
 
 
 def _sizes(text: str) -> list[int]:
@@ -517,13 +522,15 @@ def _sizes(text: str) -> list[int]:
 
 def build_parser() -> argparse.ArgumentParser:
     """One parser per command. Option names are the config keys; options
-    named like the fields of a config dataclass fill those fields."""
+    named like the fields of a config dataclass fill those fields, and are
+    absent from the parsed arguments when left out."""
     parser = _Parser(prog="occlucode", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, help):
-        p = sub.add_parser(name, help=help, allow_abbrev=False)
-        p.add_argument("--config", help="key = value config file")
+        p = sub.add_parser(name, help=help, allow_abbrev=False,
+                           argument_default=argparse.SUPPRESS)
+        p.add_argument("--config", default=None, help="key = value config file")
         p.add_argument("--out", required=True, help="output directory")
         return p
 
@@ -532,43 +539,36 @@ def build_parser() -> argparse.ArgumentParser:
                        help="true/false/yes/no/1/0; alone means true")
 
     def ksvd(p):
-        p.add_argument("--sparsity-budget", type=int, default=4)
-        p.add_argument("--iterations", type=int, default=20)
-        p.add_argument("--seed", type=int, default=0)
+        for flag in ("--sparsity-budget", "--iterations", "--seed"):
+            p.add_argument(flag, type=int)
 
     p = command("synth", "generate a synthetic corpus")
-    for flag, typ, default in [
-        ("--classes", int, 20), ("--samples-per-class", int, 5),
-        ("--test-per-class", int, None), ("--height", int, 30),
-        ("--width", int, 24), ("--subspace-dim", int, 3),
-        ("--noise-sigma", float, 0.0), ("--seed", int, 0),
-        ("--collect-classes", int, 0), ("--collect-per-class", int, 3),
-        ("--invalid-classes", int, 0), ("--invalid-per-class", int, 2),
-    ]:
-        p.add_argument(flag, type=typ, default=default)
+    for flag in ("--classes", "--samples-per-class", "--test-per-class", "--height",
+                 "--width", "--subspace-dim", "--seed", "--collect-classes",
+                 "--collect-per-class", "--invalid-classes", "--invalid-per-class"):
+        p.add_argument(flag, type=int)
+    p.add_argument("--noise-sigma", type=float)
     p.add_argument("--shapes", dest="occlusion_shapes", type=parse_shapes,
-                   default=(), help="name:kind:fraction[,...]")
-    p.add_argument("--unknown-shapes", type=parse_shapes, default=())
-    p.add_argument("--test-shapes", type=_names, default=())
+                   help="name:kind:fraction[,...]")
+    p.add_argument("--unknown-shapes", type=parse_shapes)
+    p.add_argument("--test-shapes", type=_names, help='name[,...]; "" is a clean slot')
 
     p = command("collect", "collect occlusion samples from a corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--strategy", choices=["soc", "ssrc", "esrc"], default="soc")
     boolean(p, "--labeled", True)
     boolean(p, "--debug", False)
-    p.add_argument("--h", type=int, default=20)
-    p.add_argument("--beta", type=float, default=20.0)
-    p.add_argument("--tau-schedule", type=parse_taus,
-                   default="0.005,0.0045,0.004,0.0035,0.003,0.0025,0.002")
-    p.add_argument("--max-outer-iters", type=int, default=20)
-    p.add_argument("--neighborhood", choices=["4-connected", "8-connected"],
-                   default="4-connected")
-    p.add_argument("--min-support-fraction", type=float, default=0.05)
+    p.add_argument("--h", type=int)
+    p.add_argument("--beta", type=float)
+    p.add_argument("--tau-schedule", type=parse_taus)
+    p.add_argument("--max-outer-iters", type=int)
+    p.add_argument("--neighborhood", choices=["4-connected", "8-connected"])
+    p.add_argument("--min-support-fraction", type=float)
 
     p = command("train", "train an occlusion dictionary with K-SVD")
     p.add_argument("--samples", action="append", required=True,
                    help="sample matrix prefix (repeatable)")
-    p.add_argument("--atoms", dest="atom_count", type=int, default=30)
+    p.add_argument("--atoms", dest="atom_count", type=int)
     ksvd(p)
 
     def coding(name, help):
@@ -578,24 +578,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mode", choices=[L1, STRUCTURED, SRC_MODE], default=STRUCTURED)
         p.add_argument("--features", type=parse_hw, default=None,
                        help="downsampled feature resolution, e.g. 12x10")
-        p.add_argument("--epsilon", type=float, default=0.05)
-        p.add_argument("--lam", type=float, default=None)
-        p.add_argument("--q-norm", type=float, default=2.0)
-        p.add_argument("--max-iters", type=int, default=2000)
-        p.add_argument("--tol", type=float, default=1e-6)
+        for flag in ("--epsilon", "--lam", "--q-norm", "--tol"):
+            p.add_argument(flag, type=float)
+        p.add_argument("--max-iters", type=int)
         return p
 
     p = coding("classify", "classify test images")
     p.add_argument("--occdict", action="append", default=[],
                    help="occlusion dictionary prefix (repeatable)")
-    p.add_argument("--theta-face", type=float, default=0.9)
-    p.add_argument("--theta-occlusion", type=float, default=0.9)
+    p.add_argument("--theta-face", type=float)
+    p.add_argument("--theta-occlusion", type=float)
     boolean(p, "--debug", False)
     p = coding("roc", "rejection-threshold sweep")
     p.add_argument("--occdict", action="append", default=[],
                    help="occlusion dictionary prefix (repeatable)")
     p = coding("sweep", "accuracy vs occlusion dictionary size")
-    p.add_argument("--theta-face", type=float, default=0.9)
+    p.add_argument("--theta-face", type=float)
     p.add_argument("--samples", action="append", required=True)
     p.add_argument("--sizes", type=_sizes, default="2,3,5,7,10,20,30,40,50,60")
     ksvd(p)

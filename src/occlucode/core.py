@@ -369,12 +369,9 @@ def residual(
     return float(np.linalg.norm(u.data - dictionary.atoms @ masked))
 
 
-def normalize_columns(mat: np.ndarray, drop_tol: float = 0.0) -> np.ndarray:
-    """Scale each column to unit norm; optionally drop near-zero columns."""
+def normalize_columns(mat: np.ndarray) -> np.ndarray:
+    """Scale each column to unit norm."""
     norms = np.linalg.norm(mat, axis=0)
-    if drop_tol > 0.0:
-        mat = mat[:, norms > drop_tol]
-        norms = norms[norms > drop_tol]
     if np.any(norms == 0.0):
         raise ZeroNormError("zero column cannot be normalized")
     return mat / norms

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    NORM_TOL,
     OCCLUSION,
     Block,
     BlockedDictionary,
@@ -48,7 +49,7 @@ class OcclusionSampleSet:
         if not np.all(np.isfinite(s)):
             raise ValueError("samples must be finite")
         norms = np.linalg.norm(s, axis=0)
-        if np.max(np.abs(norms - 1.0)) > 1e-9:
+        if np.max(np.abs(norms - 1.0)) > NORM_TOL:
             raise ValueError("sample columns must be unit-norm")
         s.setflags(write=False)
         object.__setattr__(self, "samples", s)

@@ -96,16 +96,23 @@ _BINOMIAL5 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 
 
 def _smooth(img: np.ndarray, passes: int = 2) -> np.ndarray:
-    """Separable 5-tap binomial low-pass filtering (reflect boundary)."""
+    """Separable 5-tap binomial low-pass filtering (reflect boundary) of the
+    last two axes, the taps summed in kernel order as np.convolve sums them."""
     out = img
     for _ in range(passes):
-        for axis in (0, 1):
-            padded = np.pad(out, [(2, 2) if a == axis else (0, 0) for a in (0, 1)],
-                            mode="reflect")
-            out = np.apply_along_axis(
-                lambda r: np.convolve(r, _BINOMIAL5, mode="valid"), axis, padded
-            )
+        for axis in (-2, -1):
+            x = np.moveaxis(out, axis, 0)
+            padded = np.pad(x, [(2, 2)] + [(0, 0)] * (x.ndim - 1), mode="reflect")
+            x = sum(tap * padded[k : k + len(x)] for k, tap in enumerate(_BINOMIAL5))
+            out = np.moveaxis(x, 0, axis)
     return out
+
+
+def _unit_range(raw: np.ndarray) -> np.ndarray:
+    """Each image of the last two axes scaled to [0, 1]; a flat one is 0.5."""
+    lo = raw.min(axis=(-2, -1), keepdims=True)
+    span = raw.max(axis=(-2, -1), keepdims=True) - lo
+    return np.where(span > 0, (raw - lo) / np.where(span > 0, span, 1.0), 0.5)
 
 
 def _rng(spec: SynthSpec, *tags) -> np.random.Generator:
@@ -120,16 +127,9 @@ def _rng(spec: SynthSpec, *tags) -> np.random.Generator:
 
 def _class_bases(spec: SynthSpec, count: int) -> list[np.ndarray]:
     """One (dim, h, w) stack of smooth nonnegative basis images per class."""
-    bases = []
-    for i in range(count):
-        rng = _rng(spec, "basis", i)
-        stack = []
-        for _ in range(spec.subspace_dim):
-            raw = _smooth(rng.standard_normal((spec.height, spec.width)))
-            lo, hi = raw.min(), raw.max()
-            stack.append((raw - lo) / (hi - lo) if hi > lo else np.full_like(raw, 0.5))
-        bases.append(np.stack(stack))
-    return bases
+    shape = (spec.subspace_dim, spec.height, spec.width)
+    return [_unit_range(_smooth(_rng(spec, "basis", i).standard_normal(shape)))
+            for i in range(count)]
 
 
 def _draw_face(rng, basis: np.ndarray) -> np.ndarray:
@@ -195,9 +195,7 @@ def _region_pixels(shape: OcclusionShape, h: int, w: int, rng) -> np.ndarray:
 def _texture(spec: SynthSpec, shape: OcclusionShape) -> np.ndarray:
     rng = _rng(spec, "texture", shape.name)
     raw = _smooth(rng.standard_normal((spec.height, spec.width)), passes=1)
-    lo, hi = raw.min(), raw.max()
-    t = (raw - lo) / (hi - lo) if hi > lo else np.full_like(raw, 0.5)
-    return 0.1 + 0.85 * t
+    return 0.1 + 0.85 * _unit_range(raw)
 
 
 def apply_occlusion(

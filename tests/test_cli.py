@@ -1,6 +1,9 @@
 """End-to-end command-line pipeline on a tiny corpus: synth -> collect ->
 train -> classify / roc / sweep, plus exit codes and determinism."""
 
+import argparse
+import csv
+import dataclasses
 import hashlib
 import os
 import shutil
@@ -9,17 +12,33 @@ import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
 
-from occlucode import Block, BlockedDictionary, solvers
+from occlucode import (
+    Block,
+    BlockedDictionary,
+    ClassifierConfig,
+    CorpusPlan,
+    KsvdConfig,
+    MaskEstimatorConfig,
+    SolverConfig,
+    SynthSpec,
+    build_sample_set,
+    collect_ssrc,
+    estimate_mask,
+    generate_corpus,
+    normalize_vector,
+    solvers,
+)
 from occlucode.cli import (
     build_parser,
+    from_options,
     main,
     parse_hw,
     parse_shapes,
     read_config,
     with_config,
 )
-from occlucode.core import OCCLUSION
-from occlucode.imageio import load_dictionary, save_dictionary
+from occlucode.core import OCCLUSION, normalize_columns
+from occlucode.imageio import load_dictionary, load_matrix, save_dictionary
 
 CORPUS_FLAGS = [
     "--classes", "4",
@@ -148,6 +167,25 @@ def test_synth_bad_shape_name_writes_nothing(tmp_path, capsys, flags, name):
     assert f"'{name}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("test_shapes, plan_shapes", [
+    ("r,,u", ("r", "", "u")),  # the empty entry is a clean slot
+    ("", ()),  # no entry: every test face clean
+], ids=["clean-slot", "all-clean"])
+def test_synth_test_shapes_keep_clean_slots(tmp_path, test_shapes, plan_shapes):
+    shapes = "r:rectangle:0.2,u:upper-band:0.3"
+    out = tmp_path / "cli"
+    assert main(["synth", "--out", str(out)] + SMALL_SYNTH + [
+        "--test-per-class", "3", "--shapes", shapes, "--test-shapes", test_shapes]) == 0
+    spec = SynthSpec(classes=2, samples_per_class=2, subspace_dim=1, test_per_class=3,
+                     occlusion_shapes=parse_shapes(shapes))
+    generate_corpus(spec, CorpusPlan(test_shapes=plan_shapes), str(tmp_path / "module"))
+    manifest = (out / "manifest.txt").read_text()
+    assert manifest == (tmp_path / "module" / "manifest.txt").read_text()
+    test_rows = [r.split("\t") for r in manifest.splitlines() if r.endswith("\ttest")]
+    occlusions = [r[2] for r in test_rows[:3]]
+    assert occlusions == (["r", "-", "u"] if plan_shapes else ["-", "-", "-"])
+
+
 # ---------------------------------------------------------------------------
 # collect / train
 
@@ -184,6 +222,53 @@ def test_collect_esrc_matches_module(corpus, tmp_path):
     u = normalize_vector(load_image_vector(corpus, collect_rows[0], shape))
     expect = collect_esrc(u, gallery.subdict(collect_rows[0]["face_label"]))
     assert np.allclose(mat[:, 0], expect.data, atol=1e-12)
+
+
+def _collect_images(corpus):
+    """The gallery and the (row, unit-norm image) pairs of role collect."""
+    from occlucode.cli import load_gallery, load_image_vector
+
+    gallery, shape, rows = load_gallery(corpus)
+    return gallery, [(row, normalize_vector(load_image_vector(corpus, row, shape)))
+                     for row in rows if row["role"] == "collect"]
+
+
+@pytest.mark.parametrize("labeled", [True, False])
+def test_collect_ssrc_matches_module(corpus, tmp_path, labeled):
+    # labeled, each image projects on its own class; unlabeled, on the
+    # gallery's first block
+    out = tmp_path / "ssrc"
+    rc = main(["collect", "--corpus", corpus, "--out", str(out), "--strategy", "ssrc",
+               "--labeled", str(labeled)])
+    assert rc == 0
+    mat, meta = load_matrix(str(out / "samples_band"))
+    assert meta["strategy"] == "ssrc" and meta["labeled"] is labeled
+    gallery, images = _collect_images(corpus)
+    first = gallery.blocks[0].label
+    patterns = [collect_ssrc(u, gallery.subdict(row["face_label"] if labeled else first))
+                for row, u in images]
+    expect = build_sample_set(patterns, "band", "ssrc", labeled)
+    assert np.array_equal(mat, expect.samples)
+
+
+def test_collect_debug_dumps_each_outer_iteration(corpus, samples, tmp_path):
+    out = tmp_path / "debug"
+    rc = main(["collect", "--corpus", corpus, "--out", str(out), "--strategy", "soc",
+               "--debug"] + MASK_FLAGS)
+    assert rc == 0
+    # the samples equal those of the run without --debug
+    for suffix in (".csv", ".json", ".f64"):
+        assert _dir_digest(str(out), suffix) == _dir_digest(os.path.dirname(samples), suffix)
+    gallery, images = _collect_images(corpus)
+    cfg = MaskEstimatorConfig(beta=1.5)
+    assert sorted(os.listdir(out / "debug")) == sorted(
+        os.path.splitext(row["path"])[0] for row, _ in images)
+    for row, u in images:
+        est = estimate_mask(u, gallery.subdict(row["face_label"]), cfg)
+        dumped = os.listdir(out / "debug" / os.path.splitext(row["path"])[0])
+        assert sorted(dumped) == sorted(
+            f"{kind}_{it:02d}.pgm" for kind in ("error", "support")
+            for it in range(1, est.iterations + 1))
 
 
 def test_collect_rejects_images_whose_lad_fit_fails(corpus, tmp_path, monkeypatch):
@@ -293,6 +378,37 @@ def test_roc_output(corpus, occdict, tmp_path):
     assert last[0] == 1.0 and last[1] == 1.0  # every valid accepted at theta=1
 
 
+def test_roc_unknown_occlusion_rows(occdict, tmp_path):
+    # test faces occluded by a shape that no occlusion dictionary knows; two
+    # dictionaries, so each probe has an occlusion RDI
+    corpus = str(tmp_path / "corpus")
+    assert main(["synth", "--out", corpus] + CORPUS_FLAGS + [
+        "--collect-classes", "0", "--unknown-shapes", "top:upper-band:0.3",
+        "--test-shapes", "band,top"]) == 0
+    rng = np.random.default_rng(0)
+    first = load_dictionary(occdict)
+    other = str(tmp_path / "occdict_noise")
+    save_dictionary(other, BlockedDictionary(
+        normalize_columns(rng.standard_normal(first.atoms.shape)),
+        (Block("noise", OCCLUSION, 0, first.n),)))
+    argv = ["--corpus", corpus, "--occdict", occdict, "--occdict", other,
+            "--mode", "l1", "--features", "10x8"]
+    assert main(["roc", "--out", str(tmp_path / "roc")] + argv) == 0
+    assert main(["classify", "--out", str(tmp_path / "cls")] + argv) == 0
+    with open(tmp_path / "cls" / "results.csv") as f:
+        results = list(csv.DictReader(f))
+    unknown = np.array([float(r["rdi_occlusion"]) for r in results
+                        if r["true_occlusion"] == "top"])
+    assert unknown.size and np.all(np.isfinite(unknown))
+    with open(tmp_path / "roc" / "roc.csv") as f:
+        roc = list(csv.DictReader(f))
+    for row in roc:
+        theta = float(row["theta"])
+        assert float(row["fpr_occlusion"]) == float(np.mean(unknown <= theta))
+    assert float(roc[0]["fpr_occlusion"]) == 0.0
+    assert float(roc[-1]["fpr_occlusion"]) == 1.0
+
+
 def test_sweep_sizes(corpus, samples, tmp_path):
     out = tmp_path / "sweep"
     rc = main(
@@ -329,6 +445,43 @@ def test_config_file_with_flag_override(corpus, occdict, tmp_path):
     assert _dir_digest(str(out1)) == _dir_digest(str(out2))
 
 
+# the config dataclasses whose fields each command's options fill, and the
+# flags each command requires
+CONFIGS = {
+    "synth": ((SynthSpec, CorpusPlan), []),
+    "collect": ((MaskEstimatorConfig,), ["--corpus", "c"]),
+    "train": ((KsvdConfig,), ["--samples", "s"]),
+    "classify": ((ClassifierConfig, SolverConfig), ["--corpus", "c"]),
+    "roc": ((ClassifierConfig, SolverConfig), ["--corpus", "c"]),
+    "sweep": ((ClassifierConfig, SolverConfig, KsvdConfig),
+              ["--corpus", "c", "--samples", "s"]),
+}
+# the options that no config dataclass holds
+NOT_CONFIG = {"help", "config", "out", "corpus", "samples", "mode", "features",
+              "strategy", "labeled", "debug", "occdict", "sizes"}
+
+
+def test_config_fields_have_no_parser_default():
+    (commands,) = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands.choices) == set(CONFIGS)
+    for command, p in commands.choices.items():
+        fields = {f.name for cls in CONFIGS[command][0] for f in dataclasses.fields(cls)}
+        for action in p._actions:
+            if action.dest in fields:
+                assert action.default is argparse.SUPPRESS, (command, action.dest)
+            else:
+                assert action.dest in NOT_CONFIG, (command, action.dest)
+
+
+@pytest.mark.parametrize("command", sorted(CONFIGS))
+def test_required_flags_alone_give_the_dataclass_defaults(command):
+    classes, required = CONFIGS[command]
+    args = build_parser().parse_args([command, "--out", "o"] + required)
+    for cls in classes:
+        assert from_options(cls, args) == cls()
+
+
 def _write_config(tmp_path, text):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
@@ -343,7 +496,8 @@ def test_config_values_go_ahead_of_flags(tmp_path):
     assert args.mode == "l1"
     assert args.occdict == ["a", "b"]  # repeatable: the file's value adds
     assert args.epsilon == 0.2  # the explicit flag wins
-    assert args.theta_face == 0.9  # default from the parser
+    # neither the file nor a flag sets it: the dataclass default applies
+    assert from_options(ClassifierConfig, args).theta_face == 0.9
 
 
 def test_config_repeated_key_keeps_every_value(corpus, occdict, tmp_path):

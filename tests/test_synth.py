@@ -53,6 +53,36 @@ def test_class_subspace_structure():
         assert np.linalg.norm(v.data - D @ coef) < 1e-8
 
 
+@pytest.mark.parametrize("shape", [(30, 24), (5, 4), (3, 9, 7)])
+@pytest.mark.parametrize("passes", [1, 2])
+def test_smooth_equals_convolving_each_line(shape, passes):
+    # oracle: the 5-tap kernel convolved along every column, then every row,
+    # of each reflect-padded image, one line at a time
+    from occlucode.synth import _BINOMIAL5, _smooth
+
+    img = np.random.default_rng(4).standard_normal(shape)
+    expect = img.reshape(-1, *shape[-2:]).copy()
+    for _ in range(passes):
+        for axis in (1, 2):
+            pad = [(2, 2) if a == axis else (0, 0) for a in range(3)]
+            expect = np.apply_along_axis(
+                lambda r: np.convolve(r, _BINOMIAL5, mode="valid"), axis,
+                np.pad(expect, pad, mode="reflect"))
+    assert np.array_equal(_smooth(img, passes), expect.reshape(shape))
+
+
+def test_class_bases_scale_each_image_to_unit_range():
+    from occlucode.synth import _class_bases, _rng, _smooth
+
+    spec = SynthSpec(classes=2, samples_per_class=3, height=12, width=10, seed=5)
+    for i, stack in enumerate(_class_bases(spec, 3)):
+        rng = _rng(spec, "basis", i)
+        assert stack.shape == (3, 12, 10)
+        for image in stack:  # one draw per image, in stack order
+            raw = _smooth(rng.standard_normal((12, 10)))
+            assert np.array_equal(image, (raw - raw.min()) / (raw.max() - raw.min()))
+
+
 def test_gallery_deterministic():
     spec = SynthSpec(classes=4, samples_per_class=3, height=10, width=8, seed=7)
     t1, s1 = generate_gallery(spec)
