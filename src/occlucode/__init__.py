@@ -10,8 +10,6 @@ from .core import (
     ImageVector,
     OcclusionMask,
     SparseCoefficients,
-    block_select,
-    downsample,
     downsample_dictionary,
     downsample_vector,
     normalize_vector,
@@ -44,7 +42,6 @@ from .maskest import (
     build_lcd,
     estimate_mask,
     extract_pattern,
-    log_likelihood,
     update_support,
 )
 from .solvers import (
@@ -52,7 +49,6 @@ from .solvers import (
     SolverConfig,
     solve_group_bpdn,
     solve_l1_bpdn,
-    solve_l1_error,
 )
 from .synth import (
     CorpusPlan,

@@ -61,7 +61,7 @@ from .dictlearn import (
     collect_ssrc,
     ksvd_train_with_trace,
 )
-from .errors import DegenerateError, FormatError, OcclucodeError, ZeroPatternError
+from .errors import BadSpecError, DegenerateError, FormatError, OcclucodeError, ZeroPatternError
 from .imageio import (
     load_dictionary,
     load_matrix,
@@ -116,15 +116,20 @@ def from_options(cls, args, **given):
 
 
 def parse_shapes(text: str) -> tuple:
-    """"name:kind:fraction,..." -> tuple of OcclusionShape."""
+    """"name:kind:fraction,..." -> tuple of OcclusionShape; any malformed
+    entry is a value the option rejects."""
     shapes = []
     if not text:
         return ()
     for part in text.split(","):
         fields = part.strip().split(":")
         if len(fields) != 3:
-            raise UsageError(f"bad shape spec {part!r} (want name:kind:fraction)")
-        shapes.append(OcclusionShape(fields[0], fields[1], float(fields[2])))
+            raise argparse.ArgumentTypeError(
+                f"bad shape spec {part!r} (want name:kind:fraction)")
+        try:
+            shapes.append(OcclusionShape(fields[0], fields[1], float(fields[2])))
+        except (BadSpecError, ValueError) as exc:
+            raise argparse.ArgumentTypeError(f"bad shape spec {part!r}: {exc}") from None
     return tuple(shapes)
 
 
@@ -438,10 +443,13 @@ def cmd_roc(args) -> int:
                 occ_invalid.append(rdi_o)
 
     def rate(scores, theta):
-        # accepted when RDI <= theta; NaN (no classification task) accepts
+        # accepted when RDI <= theta; NaN (no classification task) accepts,
+        # and a column with no task at all has no rate
         if not scores:
             return 0.0
         arr = np.asarray(scores)
+        if np.isnan(arr).all():
+            return float("nan")
         ok = np.isnan(arr) | (arr <= theta)
         return float(ok.mean())
 

@@ -236,10 +236,6 @@ class OcclusionMask:
     def m(self) -> int:
         return self.support.size
 
-    @property
-    def occluded_fraction(self) -> float:
-        return 1.0 - float(self.support.mean())
-
 
 @dataclass(frozen=True)
 class ClassificationOutcome:
@@ -306,13 +302,6 @@ def _pooling_matrix(shape: tuple[int, int], target_h: int, target_w: int) -> np.
     return np.kron(averaging(h, target_h), averaging(w, target_w))
 
 
-def downsample(img: ImageGrid, target_h: int, target_w: int) -> ImageGrid:
-    """Block-average downsampling over a uniform partition of pixels."""
-    pool = _pooling_matrix((img.height, img.width), target_h, target_w)
-    out = (pool @ img.values.ravel()).reshape(target_h, target_w)
-    return ImageGrid(target_h, target_w, np.clip(out, 0.0, 1.0))
-
-
 def downsample_vector(v: ImageVector, target_h: int, target_w: int) -> ImageVector:
     """Downsample a (possibly normalized) vector; output is unnormalized."""
     pool = _pooling_matrix(v.shape, target_h, target_w)
@@ -332,18 +321,6 @@ def downsample_dictionary(
         raise DimMismatchError(f"atoms have m={dictionary.m}, grid is {h}*{w}")
     pool = _pooling_matrix(shape, target_h, target_w)
     return BlockedDictionary(normalize_columns(pool @ dictionary.atoms), dictionary.blocks)
-
-
-def block_select(
-    coef: SparseCoefficients, dictionary: BlockedDictionary, label: str
-) -> SparseCoefficients:
-    """Zero every coefficient outside the labeled block."""
-    b = dictionary.block(label)
-    if coef.n != dictionary.n:
-        raise DimMismatchError(f"coefficients length {coef.n} != n {dictionary.n}")
-    out = np.zeros(coef.n)
-    out[b.cols] = coef.values[b.cols]
-    return SparseCoefficients(out)
 
 
 def residual(

@@ -73,17 +73,8 @@ def build_lcd(u: ImageVector, dictionary: BlockedDictionary, h: int) -> BlockedD
     )
 
 
-def log_likelihood(e_i: float, z_i: int, tau: float) -> float:
-    """Per-pixel log p(e | z) of the two-state error model."""
-    if not (0 < tau < 1):
-        raise ValueError("tau must lie in (0, 1)")
-    small = abs(e_i) <= tau
-    if z_i == 1:
-        return -math.log(tau) if small else math.log(tau)
-    return math.log(tau) if small else 0.0
-
-
 def _data_terms(e: np.ndarray, tau: float):
+    """Per-pixel log p(e | z) of the two-state error model, as (z=0, z=1)."""
     small = np.abs(e) <= tau
     log_tau = math.log(tau)
     theta1 = np.where(small, -log_tau, log_tau)

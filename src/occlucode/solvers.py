@@ -30,14 +30,13 @@ fit from below, so every fit carries its duality gap, which must vanish.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
 
 from .core import FACE, BlockedDictionary, ImageVector, SparseCoefficients
-from .errors import DegenerateError, DimMismatchError, RankDeficientWarning
+from .errors import DegenerateError, DimMismatchError
 
 
 @dataclass
@@ -72,7 +71,6 @@ class SolveReport:
     final_residual: float
     objective: float
     converged: bool
-    objective_trace: list = field(default_factory=list, repr=False)
 
 
 def default_group_weight(dictionary: BlockedDictionary) -> float:
@@ -127,14 +125,13 @@ def block_prox(v, thresholds, starts, sizes):
 def _mfista(R, u, w0, mu, step, starts, sizes, weights, max_iters, tol):
     """Minimize mu * block_penalty(w) + 0.5||u - Rw||^2 from w0.
 
-    Returns (w, r, trace, iters) with r = u - R w."""
+    Returns (w, r, iters) with r = u - R w."""
     thresholds = step * mu * weights
     x = w0
     r = u - R @ x
     fx = 0.5 * (r @ r) + mu * block_penalty(x, starts, weights)
     y, ry = x, r
     t = 1.0
-    trace = [fx]
     it = 0
     for it in range(1, max_iters + 1):
         z, z_norms = block_prox(y + step * (R.T @ ry), thresholds, starts, sizes)
@@ -155,12 +152,11 @@ def _mfista(R, u, w0, mu, step, starts, sizes, weights, max_iters, tol):
             y = x + beta * step_z
             ry = r + beta * (rz - r)
         t = t_new
-        trace.append(fx)
         # stationarity via the prox candidate: ||z - x_old|| vanishes only at
         # a fixed point, whereas x == x_old merely means a non-improving step
         if math.sqrt(step_z @ step_z) <= tol * max(1.0, math.sqrt(x @ x)):
             break
-    return x, r, trace, it
+    return x, r, it
 
 
 def _col_dots(A):
@@ -174,8 +170,8 @@ def _mfista_many(R, U, W0, mu, step, starts, sizes, weights, max_iters, tol):
     products and all columns share the momentum t, as they start together.
     A column leaves at its own iterate-change test.
 
-    Returns (W, Res, traces, iters): the iterates and their residuals
-    u - R w as columns, and each column's objective trace and iterations."""
+    Returns (W, Res, iters): the iterates and their residuals u - R w as
+    columns, and each column's iterations."""
     k = U.shape[1]
     W, Res, iters = np.empty_like(W0), np.empty_like(U), np.zeros(k, dtype=int)
     live = np.arange(k)  # the original index of each running column
@@ -185,7 +181,6 @@ def _mfista_many(R, U, W0, mu, step, starts, sizes, weights, max_iters, tol):
     fx = 0.5 * _col_dots(r) + mu * (weights @ _block_norms(x, starts))
     y, ry = x, r
     t = 1.0
-    rows = [fx]  # rows[i][j] is column j's objective after iteration i
     for it in range(1, max_iters + 1):
         z, z_norms = block_prox(y + step * (R.T @ ry), thresholds, starts, sizes)
         rz = U - R @ z
@@ -207,9 +202,6 @@ def _mfista_many(R, U, W0, mu, step, starts, sizes, weights, max_iters, tol):
             ry = ry_base + beta * (rz - r)
             r, fx = ry_base, np.where(acc, fz, fx)
         t = t_new
-        row = np.empty(k)
-        row[live] = fx
-        rows.append(row)
         done = np.sqrt(_col_dots(step_z)) <= tol * np.maximum(1.0, np.sqrt(_col_dots(x)))
         if it == max_iters:
             done[:] = True
@@ -222,9 +214,7 @@ def _mfista_many(R, U, W0, mu, step, starts, sizes, weights, max_iters, tol):
             live = live[keep]
             U, x, r, y, ry, thresholds = (a[:, keep] for a in (U, x, r, y, ry, thresholds))
             mu, fx = mu[keep], fx[keep]
-    trace_rows = np.array(rows)
-    traces = [trace_rows[: last + 1, j].tolist() for j, last in enumerate(iters)]
-    return W, Res, traces, iters
+    return W, Res, iters
 
 
 class _Continuation:
@@ -235,19 +225,19 @@ class _Continuation:
         self.u = u
         self.w = np.zeros(n)
         self.iters = 0
-        self.best = None  # (mu, w, resid, trace) with resid <= hi, largest mu seen
+        self.best = None  # (mu, w, resid) with resid <= hi, largest mu seen
         log_hi = np.log10(mu_max)
         self.bracket = [log_hi - 14.0, log_hi]
         self.mu = 10.0 ** (log_hi - 2.0)
 
-    def update(self, w, r, trace, it, lo, hi) -> bool:
+    def update(self, w, r, it, lo, hi) -> bool:
         """Take the penalized solution at self.mu; True once the search ends."""
-        self.w, self.trace = w, trace
+        self.w = w
         self.iters += it
         self.resid = float(np.linalg.norm(r))
         if self.resid <= hi:
             if self.best is None or self.mu > self.best[0]:
-                self.best = (self.mu, w, self.resid, trace)
+                self.best = (self.mu, w, self.resid)
             if self.resid >= lo:
                 return True
             self.bracket[0] = np.log10(self.mu)  # residual too small -> raise mu
@@ -258,22 +248,15 @@ class _Continuation:
         self.mu = 10.0 ** (0.5 * (self.bracket[0] + self.bracket[1]))
         return False
 
-    def report(self, starts, weights, hi, tol) -> SolveReport:
+    def report(self, starts, weights) -> SolveReport:
+        """The solution at the largest mu whose residual met hi; without
+        one, the last iterate, reported as not converged."""
         if self.best is None:
-            # never reached feasibility; report the last iterate honestly
-            w, resid, trace = self.w, self.resid, self.trace
-            converged = resid <= hi + tol
+            w, resid = self.w, self.resid
         else:
-            _, w, resid, trace = self.best
-            converged = True
-        return SolveReport(
-            SparseCoefficients(w),
-            self.iters,
-            resid,
-            block_penalty(w, starts, weights),
-            converged,
-            trace,
-        )
+            _, w, resid = self.best
+        return SolveReport(SparseCoefficients(w), self.iters, resid,
+                           block_penalty(w, starts, weights), self.best is not None)
 
 
 def _solve_bpdn(us, dictionary, cfg, starts, weights):
@@ -300,7 +283,7 @@ def _solve_bpdn(us, dictionary, cfg, starts, weights):
         if u_norm <= eps or mu_max == 0.0:
             # w = 0 is the solution, but it meets the bound only if u does
             reports[j] = SolveReport(SparseCoefficients(np.zeros(dictionary.n)), 0,
-                                     float(u_norm), 0.0, bool(u_norm <= hi), [0.0])
+                                     float(u_norm), 0.0, bool(u_norm <= hi))
         else:
             live.append((j, _Continuation(u, mu_max, dictionary.n)))
     searches = list(live)
@@ -313,15 +296,15 @@ def _solve_bpdn(us, dictionary, cfg, starts, weights):
             solved = [_mfista(R, c.u, c.w, c.mu, step, starts, sizes, weights,
                               cfg.max_iters, cfg.tol)]
         else:
-            W, Res, traces, iters = _mfista_many(
+            W, Res, iters = _mfista_many(
                 R, np.column_stack([c.u for c in cs]),
                 np.column_stack([c.w for c in cs]), np.array([c.mu for c in cs]),
                 step, starts, sizes, weights, cfg.max_iters, cfg.tol)
-            solved = zip(W.T, Res.T, traces, iters.tolist())
+            solved = zip(W.T, Res.T, iters.tolist())
         live = [(j, c) for (j, c), solution in zip(live, solved)
                 if not c.update(*solution, lo, hi)]
     for j, c in searches:
-        reports[j] = c.report(starts, weights, hi, cfg.tol)
+        reports[j] = c.report(starts, weights)
     return reports
 
 
@@ -421,21 +404,3 @@ def lad_fit(A: np.ndarray, b: np.ndarray) -> LadFit:
 def l1_regression(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """argmin_x ||b - A x||_1, certified by lad_fit's duality gap."""
     return lad_fit(A, b).x
-
-
-def solve_l1_error(
-    u: ImageVector, dict_small: BlockedDictionary
-) -> tuple[SparseCoefficients, ImageVector]:
-    """min ||e||_1 s.t. u = D x + e  (exact decomposition, minimal l1 error)."""
-    if u.m != dict_small.m:
-        raise DimMismatchError(f"u has m={u.m}, dictionary has m={dict_small.m}")
-    D = dict_small.atoms
-    if np.linalg.matrix_rank(D) < D.shape[1]:
-        warnings.warn(
-            "dictionary columns are linearly dependent; solution is one "
-            "minimizer among many",
-            RankDeficientWarning,
-        )
-    x = l1_regression(D, u.data)
-    e = u.data - D @ x  # exact by construction
-    return SparseCoefficients(x), ImageVector(e, u.shape)

@@ -167,6 +167,17 @@ def test_synth_bad_shape_name_writes_nothing(tmp_path, capsys, flags, name):
     assert f"'{name}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", ["--shapes", "--unknown-shapes"])
+@pytest.mark.parametrize("entry", ["x:blob", "x:blob:0.3", "x:rectangle:1.5", "x:rectangle:abc"])
+def test_synth_malformed_shape_entry_exits_1(tmp_path, capsys, option, entry):
+    # a missing field, an unknown kind, a fraction outside (0, 1) or not a
+    # number: each is a value the option rejects
+    out = tmp_path / "corpus"
+    assert main(["synth", "--out", str(out)] + SMALL_SYNTH + [option, entry]) == 1
+    assert not out.exists()
+    assert f"bad shape spec '{entry}'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("test_shapes, plan_shapes", [
     ("r,,u", ("r", "", "u")),  # the empty entry is a clean slot
     ("", ()),  # no entry: every test face clean
@@ -376,6 +387,28 @@ def test_roc_output(corpus, occdict, tmp_path):
     assert len(lines) == 102  # theta 0.00 .. 1.00
     last = [float(x) for x in lines[-1].split(",")]
     assert last[0] == 1.0 and last[1] == 1.0  # every valid accepted at theta=1
+
+
+@pytest.mark.parametrize("flags, column", [
+    (["--occdict", "one"], "tpr_occlusion"),  # the test rows' shape is known
+    (["--mode", "src"], "fpr_occlusion"),  # no occlusion dictionary knows it
+], ids=["one-occdict", "src"])
+def test_roc_without_an_occlusion_task(corpus, occdict, tmp_path, flags, column):
+    # with fewer than two occlusion blocks no probe has an occlusion RDI, so
+    # the occlusion rows' column has no rate; the face columns are unchanged
+    flags = [occdict if f == "one" else f for f in flags]
+    argv = ["--corpus", corpus, "--features", "10x8"] + flags
+    assert main(["roc", "--out", str(tmp_path / "roc")] + argv) == 0
+    assert main(["classify", "--out", str(tmp_path / "cls")] + argv) == 0
+    with open(tmp_path / "cls" / "results.csv") as f:
+        rdi = np.array([float(r["rdi_face"]) for r in csv.DictReader(f)
+                        if r["role"] == "test"])
+    with open(tmp_path / "roc" / "roc.csv") as f:
+        roc = list(csv.DictReader(f))
+    assert len(roc) == 101
+    for row in roc:
+        assert row[column] == "nan"
+        assert float(row["tpr_face"]) == float(np.mean(rdi <= float(row["theta"])))
 
 
 def test_roc_unknown_occlusion_rows(occdict, tmp_path):

@@ -9,8 +9,6 @@ from occlucode import (
     ImageGrid,
     ImageVector,
     SparseCoefficients,
-    block_select,
-    downsample,
     downsample_dictionary,
     downsample_vector,
     normalize_vector,
@@ -83,33 +81,33 @@ def test_normalize_vector():
 
 def test_downsample_mean_of_all():
     g = ImageGrid(2, 2, np.array([[0.0, 0.0], [1.0, 1.0]]))
-    out = downsample(g, 1, 1)
-    assert out.values[0, 0] == pytest.approx(0.5)
+    out = downsample_vector(vectorize(g), 1, 1)
+    assert out.data[0] == pytest.approx(0.5)
 
 
 def test_downsample_constant_preserved():
     g = ImageGrid(4, 4, np.full((4, 4), 0.3))
-    out = downsample(g, 2, 2)
-    assert np.allclose(out.values, 0.3)
+    out = downsample_vector(vectorize(g), 2, 2)
+    assert np.allclose(out.data, 0.3)
 
 
 def test_downsample_83x60_to_12x10_gives_120_features(rng):
     g = ImageGrid(83, 60, rng.uniform(size=(83, 60)))
-    out = downsample(g, 12, 10)
-    assert out.size == 120
+    out = downsample_vector(vectorize(g), 12, 10)
+    assert out.m == 120 and out.shape == (12, 10)
 
 
 def test_downsample_preserves_mean_when_divisible(rng):
     g = ImageGrid(8, 6, rng.uniform(size=(8, 6)))
-    out = downsample(g, 4, 3)
-    assert out.values.mean() == pytest.approx(g.values.mean(), abs=1e-12)
+    out = downsample_vector(vectorize(g), 4, 3)
+    assert out.data.mean() == pytest.approx(g.values.mean(), abs=1e-12)
 
 
 def test_downsample_bad_targets():
-    g = ImageGrid(4, 4, np.zeros((4, 4)))
+    v = vectorize(ImageGrid(4, 4, np.zeros((4, 4))))
     for th, tw in [(0, 2), (2, 0), (5, 2), (2, 5)]:
         with pytest.raises(BadDimsError):
-            downsample(g, th, tw)
+            downsample_vector(v, th, tw)
 
 
 def _block_means_oracle(values, target_h, target_w):
@@ -130,10 +128,6 @@ def _block_means_oracle(values, target_h, target_w):
                      ((6, 4), (6, 4)), ((5, 9), (1, 1))]
 )
 def test_downsampling_matches_block_mean_oracle(rng, shape, target):
-    values = rng.uniform(size=shape)
-    expect = _block_means_oracle(values, *target)
-    assert np.allclose(downsample(ImageGrid(*shape, values), *target).values,
-                       expect, rtol=0, atol=1e-14)
     # signed, unit-norm vectors: no mapping into [0, 1] is needed
     v = normalize_vector(ImageVector(rng.standard_normal(shape[0] * shape[1]), shape))
     small = downsample_vector(v, *target)
@@ -163,34 +157,15 @@ def test_downsample_vector_and_dictionary_reject_bad_dims(rng):
 # blocks
 
 
-def _two_block_dict():
-    atoms = normalize_columns(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
-    return BlockedDictionary(
-        atoms, (Block("A", FACE, 0, 2), Block("B", FACE, 2, 3))
-    )
-
-
-def test_block_select_examples():
-    d = _two_block_dict()
-    coef = SparseCoefficients(np.array([1.0, 2.0, 3.0]))
-    a = block_select(coef, d, "A")
-    b = block_select(coef, d, "B")
-    assert np.array_equal(a.values, [1, 2, 0])
-    assert np.array_equal(b.values, [0, 0, 3])
-    assert np.array_equal(block_select(a, d, "B").values, [0, 0, 0])
-
-
-def test_block_select_unknown_label():
-    with pytest.raises(UnknownLabelError):
-        block_select(SparseCoefficients(np.zeros(3)), _two_block_dict(), "C")
-
-
 def test_block_partition_sums_to_identity(rng):
     d = random_dictionary(rng, 6, 9, [("a", 3), ("b", 4), ("c", 2)])
-    coef = SparseCoefficients(rng.standard_normal(9))
-    total = sum(block_select(coef, d, lbl).values for lbl in ("a", "b", "c"))
-    assert np.allclose(total, coef.values)
+    covered = np.zeros(9, dtype=int)
+    for lbl in ("a", "b", "c"):
+        covered[d.block(lbl).cols] += 1
+    assert np.array_equal(covered, np.ones(9, dtype=int))
     assert d.starts.tolist() == [0, 3, 7]
+    with pytest.raises(UnknownLabelError):
+        d.block("d")
 
 
 def test_dictionary_invariants():

@@ -19,7 +19,6 @@ from occlucode import (
     estimate_mask,
     extract_pattern,
     generate_gallery,
-    log_likelihood,
     normalize_vector,
     update_support,
     vectorize,
@@ -27,6 +26,7 @@ from occlucode import (
 from occlucode.core import FACE, normalize_columns
 from occlucode.errors import BadHError, DegenerateError, ZeroPatternError
 from occlucode.graphcut import grid_edges, maximize_grid_mrf, mrf_energy
+from occlucode.maskest import _data_terms
 
 from conftest import random_dictionary
 
@@ -82,26 +82,33 @@ def test_lcd_deterministic_ties():
 # likelihood
 
 
-def test_log_likelihood_small_error_supported():
-    assert log_likelihood(0.001, 1, 0.005) == pytest.approx(-math.log(0.005))
-    assert log_likelihood(0.001, 1, 0.005) == pytest.approx(5.298, abs=1e-3)
+def log_p(e_i, z_i, tau):
+    """log p(e | z) of one pixel, read from the data terms of its error."""
+    theta0, theta1 = _data_terms(np.array([e_i]), tau)
+    return float((theta1 if z_i == 1 else theta0)[0])
 
 
-def test_log_likelihood_large_error_occluded():
-    assert log_likelihood(0.01, 0, 0.005) == 0.0
+def test_data_terms_small_error_supported():
+    assert log_p(0.001, 1, 0.005) == pytest.approx(-math.log(0.005))
+    assert log_p(0.001, 1, 0.005) == pytest.approx(5.298, abs=1e-3)
 
 
-def test_log_likelihood_small_error_occluded():
-    assert log_likelihood(0.001, 0, 0.005) == pytest.approx(math.log(0.005))
-    assert log_likelihood(0.001, 0, 0.005) == pytest.approx(-5.298, abs=1e-3)
+def test_data_terms_large_error_occluded():
+    assert log_p(0.01, 0, 0.005) == 0.0
 
 
-def test_log_likelihood_large_error_supported():
-    assert log_likelihood(0.01, 1, 0.005) == pytest.approx(math.log(0.005))
+def test_data_terms_small_error_occluded():
+    assert log_p(0.001, 0, 0.005) == pytest.approx(math.log(0.005))
+    assert log_p(0.001, 0, 0.005) == pytest.approx(-5.298, abs=1e-3)
 
 
-def test_log_likelihood_boundary_counts_as_small():
-    assert log_likelihood(0.005, 1, 0.005) == pytest.approx(-math.log(0.005))
+def test_data_terms_large_error_supported():
+    assert log_p(0.01, 1, 0.005) == pytest.approx(math.log(0.005))
+
+
+def test_data_terms_boundary_counts_as_small():
+    assert log_p(0.005, 1, 0.005) == pytest.approx(-math.log(0.005))
+    assert log_p(-0.005, 1, 0.005) == pytest.approx(-math.log(0.005))
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +146,6 @@ def test_update_support_2x2_matches_bruteforce(rng):
         e_data = r.uniform(-0.02, 0.02, size=4)
         e = ImageVector(e_data, (2, 2))
         z = update_support(e, beta=1.0, tau=0.005)
-        from occlucode.maskest import _data_terms
-
         theta0, theta1 = _data_terms(e_data, 0.005)
         best, _ = brute_force(theta0, theta1, 1.0, edges, 4)
         got = mrf_energy(np.asarray(z.support), theta0, theta1, 1.0, edges)

@@ -16,11 +16,10 @@ from occlucode import (
     SolverConfig,
     solve_group_bpdn,
     solve_l1_bpdn,
-    solve_l1_error,
     solvers,
 )
 from occlucode.core import FACE, normalize_columns
-from occlucode.errors import DegenerateError, DimMismatchError, RankDeficientWarning
+from occlucode.errors import DegenerateError, DimMismatchError
 from occlucode.solvers import (
     LAD_GAP_RTOL,
     block_penalty,
@@ -118,8 +117,12 @@ def test_l1_feasibility_and_monotone_trace(rng):
         cfg = SolverConfig(epsilon=0.05)
         rep = solve_l1_bpdn(u, d, cfg)
         assert rep.final_residual <= cfg.epsilon + cfg.tol
-        t = np.array(rep.objective_trace)
-        assert np.all(np.diff(t) <= cfg.tol)  # monotone inner objective
+        # the scalar inner loop, warm-started at the solution, never climbs
+        starts, weights = np.arange(12), np.ones(12)
+        mu = _mu(d.atoms, u.data, starts, weights, 0.05)
+        f = stepped_objectives(d.atoms, u.data[:, None], rep.coefficients.values[:, None],
+                               np.array([mu]), starts, weights, 40)
+        assert np.all(np.diff(f, axis=0) <= 1e-13)
 
 
 def test_l1_sign_symmetry(rng):
@@ -369,6 +372,30 @@ def run_mfista(R, u, mu, starts, weights, w0, max_iters, tol):
     return solvers._mfista(R, u, w0, mu, step, starts, sizes, weights, max_iters, tol)
 
 
+def stepped_objectives(R, U, W0, mus, starts, weights, steps, tol=1e-300):
+    """The penalized objective of each column of U after 0, 1, ..., steps
+    iterations from W0: row i comes from a run with max_iters = i, by
+    _mfista for one column and _mfista_many for more. tol must not stop a
+    run early. Every run's residuals must be U - R W."""
+    n, k = W0.shape
+    sizes = np.diff(starts, append=n)
+    step = 1.0 / np.linalg.eigvalsh(R.T @ R)[-1]
+    rows = [W0]
+    for max_iters in range(1, steps + 1):
+        if k == 1:
+            x, r, it = solvers._mfista(R, U[:, 0], W0[:, 0], mus[0], step, starts, sizes,
+                                       weights, max_iters, tol)
+            W, Res, iters = x[:, None], r[:, None], [it]
+        else:
+            W, Res, iters = solvers._mfista_many(R, U, W0, mus, step, starts, sizes,
+                                                 weights, max_iters, tol)
+        assert list(iters) == [max_iters] * k
+        assert np.max(np.abs(Res - (U - R @ W))) <= 1e-10
+        rows.append(W)
+    return np.array([[penalized_objective(R, U[:, j], mus[j], W[:, j], starts, weights)
+                      for j in range(k)] for W in rows])
+
+
 KINDS = ["group", "singleton", "ill-conditioned"]
 
 
@@ -379,15 +406,18 @@ def _mu(R, u, starts, weights, frac):
 @pytest.mark.parametrize("kind", KINDS)
 def test_mfista_carried_residual_and_monotone_trace(rng, kind):
     R, u, starts, weights = penalized_instance(rng, kind)
-    for frac, max_iters in ((0.3, 7), (0.05, 200), (0.01, 5000)):
-        mu = _mu(R, u, starts, weights, frac)
-        w0 = 0.1 * rng.standard_normal(R.shape[1])  # a warm start
-        x, r, trace, it = run_mfista(R, u, mu, starts, weights, w0, max_iters, 1e-12)
-        assert np.max(np.abs(r - (u - R @ x))) <= 1e-10
-        assert len(trace) == it + 1
-        assert np.all(np.diff(trace) <= 0.0)  # monotone acceptance
-        assert trace[-1] == pytest.approx(
-            penalized_objective(R, u, mu, x, starts, weights), rel=1e-12, abs=1e-12)
+    (m, n), fracs = R.shape, (0.3, 0.05, 0.01)
+    U = rng.standard_normal((m, len(fracs)))
+    U[:, 0] = u
+    U /= np.linalg.norm(U, axis=0)
+    W0 = 0.1 * rng.standard_normal((n, len(fracs)))  # warm starts
+    mus = np.array([_mu(R, U[:, j], starts, weights, frac) for j, frac in enumerate(fracs)])
+    for j in range(len(fracs)):  # the scalar loop on each column
+        f = stepped_objectives(R, U[:, j:j + 1], W0[:, j:j + 1], mus[j:j + 1],
+                               starts, weights, 60)
+        assert np.all(np.diff(f, axis=0) <= 1e-13)  # monotone acceptance
+    f = stepped_objectives(R, U, W0, mus, starts, weights, 60)  # the lockstep loop
+    assert np.all(np.diff(f, axis=0) <= 1e-13)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -396,10 +426,9 @@ def test_mfista_reaches_plain_fista_objective(rng, kind):
     mu = _mu(R, u, starts, weights, 0.01)
     ref = penalized_objective(
         R, u, mu, plain_fista(R, u, mu, starts, weights, 30000), starts, weights)
-    x, _, trace, it = run_mfista(
-        R, u, mu, starts, weights, np.zeros(R.shape[1]), 50000, 1e-12)
+    x, _, it = run_mfista(R, u, mu, starts, weights, np.zeros(R.shape[1]), 50000, 1e-12)
     assert it < 50000  # stopped by the tolerance, not the cap
-    assert abs(trace[-1] - ref) <= 1e-8 * ref
+    assert abs(penalized_objective(R, u, mu, x, starts, weights) - ref) <= 1e-8 * ref
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -416,25 +445,24 @@ def test_mfista_many_matches_mfista_per_column(rng, kind, max_iters):
     sizes = np.diff(starts, append=n)
     step = 1.0 / np.linalg.eigvalsh(R.T @ R)[-1]
     tol = 1e-6
-    W, Res, traces, iters = solvers._mfista_many(
+    W, Res, iters = solvers._mfista_many(
         R, U, W0, mus, step, starts, sizes, weights, max_iters, tol)
     for j in range(k):
-        x, r, trace, it = run_mfista(
+        x, r, it = run_mfista(
             R, U[:, j].copy(), mus[j], starts, weights, W0[:, j].copy(), max_iters, tol)
         assert iters[j] == it
         assert np.max(np.abs(W[:, j] - x)) <= 1e-12
         assert np.max(np.abs(Res[:, j] - r)) <= 1e-12
-        assert len(traces[j]) == it + 1
-        assert np.max(np.abs(np.subtract(traces[j], trace))) <= 1e-12
-        assert np.all(np.diff(traces[j]) <= 0.0)  # monotone acceptance
     if max_iters == 7:
         assert set(iters) == {7}
     else:
         assert len(set(iters)) == k  # every column stops at its own iteration
         assert max(iters) < max_iters
-        # some iteration accepts in one column and rejects in another
-        steps = np.array([np.diff(t[: min(iters) + 1]) for t in traces])
-        assert np.any(np.any(steps == 0, axis=0) & np.any(steps < 0, axis=0))
+        # some iteration accepts in one column and rejects (keeps its
+        # iterate, so its objective) in another
+        f = stepped_objectives(R, U, W0, mus, starts, weights, min(iters), tol)
+        steps = np.diff(f, axis=0)
+        assert np.any(np.any(steps == 0, axis=1) & np.any(steps < 0, axis=1))
 
 
 @pytest.mark.parametrize("solve_many, solve", [
@@ -475,6 +503,38 @@ def test_zero_code_probe_outside_the_bound_is_not_converged(solve_many, solve):
     assert second.final_residual == pytest.approx(1.0)
 
 
+def run_continuation(residuals, eps, frac=0.9):
+    """Drive one probe's mu search with the given residual norm at each
+    step (the last one repeats) until it ends; returns its report."""
+    n = 4
+    c = solvers._Continuation(np.ones(6), 1.0, n)
+    step, done = 0, False
+    while not done:
+        r = np.zeros(6)
+        r[0] = residuals[min(step, len(residuals) - 1)]
+        done = c.update(np.full(n, float(step)), r, 3, frac * eps, eps)
+        step += 1
+    return c.report(np.arange(n), np.ones(n)), step
+
+
+def test_continuation_reports_convergence_only_within_eps():
+    eps = 0.05
+    # every step's residual lies just above eps, so none meets the bound
+    rep, steps = run_continuation([eps + 1.5e-5], eps)
+    assert not rep.converged
+    assert rep.final_residual == pytest.approx(eps + 1.5e-5)
+    assert rep.iterations == 3 * steps
+    assert np.array_equal(rep.coefficients.values, np.full(4, steps - 1.0))
+    # a step inside [frac * eps, eps] ends the search, converged
+    rep, steps = run_continuation([0.1, 0.049], eps)
+    assert (rep.converged, steps, rep.final_residual) == (True, 2, 0.049)
+    # below the window the search goes on; the step at the largest mu that
+    # met eps is the one reported, although later steps miss it
+    rep, steps = run_continuation([0.01, 0.02, 0.1], eps)
+    assert rep.converged and steps > 3
+    assert (rep.final_residual, rep.coefficients.values[0]) == (0.02, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # l1 error fitting
 
@@ -482,48 +542,33 @@ def test_zero_code_probe_outside_the_bound_is_not_converged(solve_many, solve):
 def test_l1_error_exact_span(rng):
     d = random_dictionary(rng, 10, 3)
     x_true = rng.standard_normal(3)
-    u = vec(d.atoms @ x_true)
-    x, e = solve_l1_error(u, d)
-    assert np.max(np.abs(e.data)) < 1e-8
-    assert np.allclose(x.values, x_true, atol=1e-6)
+    u = d.atoms @ x_true
+    x = l1_regression(d.atoms, u)
+    assert np.max(np.abs(u - d.atoms @ x)) < 1e-8
+    assert np.allclose(x, x_true, atol=1e-6)
 
 
 def test_l1_error_single_column_spike():
     col = np.full(9, 1.0 / 3.0)
-    d = BlockedDictionary(col[:, None], (Block("c", FACE, 0, 1),))
     u_data = col.copy()
     u_data[0] += 0.5
-    x, e = solve_l1_error(vec(u_data), d)
+    x = l1_regression(col[:, None], u_data)
+    e = u_data - x[0] * col
     # grid-scan oracle over the single coefficient
     grid = np.linspace(0.5, 1.5, 2001)
     costs = [np.abs(u_data - g * col).sum() for g in grid]
-    assert x.values[0] == pytest.approx(grid[int(np.argmin(costs))], abs=1e-3)
-    nonzero = np.abs(e.data) > 1e-6
-    assert nonzero.sum() == 1 and e.data[0] == pytest.approx(0.5, abs=1e-6)
+    assert x[0] == pytest.approx(grid[int(np.argmin(costs))], abs=1e-3)
+    nonzero = np.abs(e) > 1e-6
+    assert nonzero.sum() == 1 and e[0] == pytest.approx(0.5, abs=1e-6)
 
 
 def test_l1_error_orthogonal_input():
-    d = BlockedDictionary(np.eye(6)[:, :2], (Block("c", FACE, 0, 2),))
+    A = np.eye(6)[:, :2]
     u_data = np.zeros(6)
     u_data[4] = 1.0
-    x, e = solve_l1_error(vec(u_data), d)
-    assert np.max(np.abs(x.values)) < 1e-9
-    assert np.allclose(e.data, u_data)
-
-
-def test_l1_error_exact_decomposition(rng):
-    d = random_dictionary(rng, 12, 4)
-    u = vec(rng.standard_normal(12))
-    x, e = solve_l1_error(u, d)
-    assert np.allclose(d.atoms @ x.values + e.data, u.data, atol=1e-8)
-
-
-def test_l1_error_rank_deficient_warns():
-    col = np.ones(4) / 2.0
-    atoms = np.stack([col, col], axis=1)
-    d = BlockedDictionary(atoms, (Block("c", FACE, 0, 2),))
-    with pytest.warns(RankDeficientWarning):
-        solve_l1_error(vec(np.ones(4) / 2.0), d)
+    x = l1_regression(A, u_data)
+    assert np.max(np.abs(x)) < 1e-9
+    assert np.allclose(u_data - A @ x, u_data)
 
 
 def test_l1_regression_median_property(rng):
@@ -596,8 +641,6 @@ def test_lad_failed_lp_raises_degenerate(rng, monkeypatch):
     A, b = _lad_instance(rng, "720x4")
     with pytest.raises(DegenerateError, match="LP failed"):
         l1_regression(A, b)
-    with pytest.raises(DegenerateError):
-        solve_l1_error(vec(b[:12]), random_dictionary(rng, 12, 3))
 
 
 def test_lad_gap_above_bound_raises_degenerate(rng, monkeypatch):

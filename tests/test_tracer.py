@@ -1,0 +1,39 @@
+"""The benchmark's span tracer finds every function it names in the library
+and puts each one back when it is removed."""
+
+import importlib
+import importlib.util
+import os
+
+import occlucode
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", os.path.join(ROOT, "perfbench", "tracer.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_install_wraps_every_layer_and_uninstall_restores():
+    tracer = load_tracer()
+    modules = [occlucode] + [importlib.import_module(f"occlucode.{m}")
+                             for m in list(tracer.LAYERS) + ["cli"]]
+    bindings = {(mod.__name__, name): vars(mod)[name] for mod in modules
+                for name in vars(mod) if callable(vars(mod)[name])}
+    t = tracer.Tracer()
+    t.install()  # raises AttributeError if a traced name is gone
+    try:
+        for layer, funcs in tracer.LAYERS.items():
+            home = importlib.import_module(f"occlucode.{layer}")
+            for func in funcs:
+                original = bindings[(home.__name__, func)]
+                assert getattr(home, func) is not original
+                assert getattr(home, func).__wrapped__ is original
+    finally:
+        t.uninstall()
+    for (name, attr), fn in bindings.items():
+        assert vars(importlib.import_module(name))[attr] is fn, f"{name}.{attr}"
