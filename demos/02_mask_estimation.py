@@ -46,6 +46,6 @@ print(f"outer iterations: {est.iterations}")
 print(f"true occluded  : {true_occ.sum()} px, estimated {est_occ.sum()} px")
 print(f"mask IoU       : {iou:.3f}")
 
-pattern = extract_pattern(u, train.subdict(label), est)
+pattern = extract_pattern(est)
 print(f"pattern support: {(np.abs(pattern.data) > 0).sum()} px, unit norm")
 print("per-iteration dumps written to mask_debug/")

@@ -20,7 +20,6 @@ from occlucode import (
     ksvd_train_with_trace,
     normalize_vector,
     spectrum,
-    vectorize,
 )
 from occlucode.synth import _class_bases, _faces_for_class
 
@@ -42,7 +41,7 @@ bases = _class_bases(spec, spec.classes)
 for ci in range(10):
     label = spec.class_label(ci)
     for grid in _faces_for_class(spec, bases[ci], ci, "collect-scarf", 6):
-        occluded, _ = apply_occlusion(vectorize(grid), "scarf", spec)
+        occluded, _ = apply_occlusion(grid, "scarf", spec)
         patterns.append(
             collect_soc(normalize_vector(occluded), train, label, mask_cfg)
         )

@@ -29,7 +29,6 @@ from occlucode import (
     generate_gallery,
     ksvd_train,
     normalize_vector,
-    vectorize,
 )
 from occlucode.synth import _class_bases, _faces_for_class
 
@@ -52,7 +51,7 @@ patterns = []
 for ci in range(10):
     label = spec.class_label(ci)
     for grid in _faces_for_class(spec, bases[ci], ci, "collect-scarf", 6):
-        occluded, _ = apply_occlusion(vectorize(grid), "scarf", spec)
+        occluded, _ = apply_occlusion(grid, "scarf", spec)
         patterns.append(
             collect_soc(normalize_vector(occluded), train, label, mask_cfg)
         )

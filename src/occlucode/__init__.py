@@ -6,7 +6,6 @@ from .core import (
     Block,
     BlockedDictionary,
     ClassificationOutcome,
-    ImageGrid,
     ImageVector,
     OcclusionMask,
     SparseCoefficients,
@@ -14,7 +13,6 @@ from .core import (
     downsample_vector,
     normalize_vector,
     residual,
-    vectorize,
 )
 from .classify import (
     ClassifierConfig,

@@ -49,7 +49,6 @@ from .core import (
     downsample_dictionary,
     downsample_vector,
     normalize_vector,
-    vectorize,
 )
 from .dictlearn import (
     SAMPLE_DROP_TOL,
@@ -182,10 +181,8 @@ def load_gallery(corpus_dir: str):
         if row["role"] != "gallery":
             continue
         g = read_pgm(os.path.join(corpus_dir, row["path"]))
-        shape = (g.height, g.width)
-        by_label.setdefault(row["face_label"], []).append(
-            vectorize(g, normalize=True).data
-        )
+        shape = g.shape
+        by_label.setdefault(row["face_label"], []).append(normalize_vector(g).data)
     if not by_label:
         raise FormatError(f"{corpus_dir}: manifest has no gallery rows")
     cols, blocks, pos = [], [], 0
@@ -198,9 +195,9 @@ def load_gallery(corpus_dir: str):
 
 def load_image_vector(corpus_dir, row, shape) -> ImageVector:
     g = read_pgm(os.path.join(corpus_dir, row["path"]))
-    if (g.height, g.width) != shape:
+    if g.shape != shape:
         raise FormatError(f"{row['path']}: resolution differs from gallery")
-    return vectorize(g)
+    return g
 
 
 def at_features(dictionary: BlockedDictionary, shape, features) -> BlockedDictionary:
@@ -444,9 +441,7 @@ def cmd_roc(args) -> int:
 
     def rate(scores, theta):
         # accepted when RDI <= theta; NaN (no classification task) accepts,
-        # and a column with no task at all has no rate
-        if not scores:
-            return 0.0
+        # and a column with no task at all, or with no rows, has no rate
         arr = np.asarray(scores)
         if np.isnan(arr).all():
             return float("nan")

@@ -1,6 +1,7 @@
 """Core domain types and residual primitives.
 
-Images are grayscale in [0, 1], stored as float64. A dictionary is a
+Images are row-major float64 vectors that keep their grid shape, with
+values in [0, 1] when they pass through PGM. A dictionary is a
 column-stacked matrix of unit-norm atoms together with a block map that
 assigns contiguous column ranges to named classes; face blocks always
 precede occlusion blocks.
@@ -34,33 +35,6 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ImageGrid:
-    """A height x width grayscale image with intensities in [0, 1]."""
-
-    height: int
-    width: int
-    values: np.ndarray  # (height, width), row-major
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.shape != (self.height, self.width):
-            raise DimMismatchError(
-                f"values shape {v.shape} != ({self.height}, {self.width})"
-            )
-        if self.height < 1 or self.width < 1:
-            raise BadDimsError("grid dimensions must be positive")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("image values must be finite")
-        if v.min() < 0.0 or v.max() > 1.0:
-            raise ValueError("image values must lie in [0, 1]")
-        object.__setattr__(self, "values", _freeze(v))
-
-    @property
-    def size(self) -> int:
-        return self.height * self.width
-
-
-@dataclass(frozen=True)
 class ImageVector:
     """A flattened image; optionally scaled to unit l2 norm.
 
@@ -87,11 +61,6 @@ class ImageVector:
     @property
     def m(self) -> int:
         return self.data.size
-
-    def to_grid(self) -> ImageGrid:
-        """Inverse of vectorize for unnormalized [0,1] vectors."""
-        h, w = self.shape
-        return ImageGrid(h, w, self.data.reshape(h, w))
 
 
 @dataclass(frozen=True)
@@ -257,17 +226,6 @@ class ClassificationOutcome:
 
 # ---------------------------------------------------------------------------
 # operations
-
-
-def vectorize(img: ImageGrid, normalize: bool = False) -> ImageVector:
-    """Stack an image into an m-vector (row major), optionally unit-norm."""
-    d = img.values.ravel()
-    if normalize:
-        nrm = np.linalg.norm(d)
-        if nrm == 0.0:
-            raise ZeroNormError("cannot normalize an all-zero image")
-        d = d / nrm
-    return ImageVector(d, (img.height, img.width), normalized=normalize)
 
 
 def normalize_vector(v: ImageVector) -> ImageVector:

@@ -97,7 +97,7 @@ def collect_soc(
     else:
         basis = build_lcd(u, dictionary, cfg.h)
     est = estimate_mask(u, basis, cfg, debug_dir=debug_dir)
-    return extract_pattern(u, basis, est)
+    return extract_pattern(est)
 
 
 def collect_ssrc(u: ImageVector, sub: BlockedDictionary) -> ImageVector:

@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from .core import Block, BlockedDictionary, ImageGrid
+from .core import Block, BlockedDictionary, ImageVector
 from .errors import FormatError
 
 
@@ -21,14 +21,17 @@ from .errors import FormatError
 # PGM (portable graymap, binary "P5", maxval 255)
 
 
-def write_pgm(path: str, img: ImageGrid) -> None:
-    data = np.rint(img.values * 255.0).astype(np.uint8)
+def write_pgm(path: str, img: ImageVector) -> None:
+    if img.data.min() < 0.0 or img.data.max() > 1.0:
+        raise ValueError(f"{path}: image values must lie in [0, 1]")
+    data = np.rint(img.data * 255.0).astype(np.uint8)
+    h, w = img.shape
     with open(path, "wb") as f:
-        f.write(f"P5\n{img.width} {img.height}\n255\n".encode("ascii"))
+        f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         f.write(data.tobytes())
 
 
-def read_pgm(path: str) -> ImageGrid:
+def read_pgm(path: str) -> ImageVector:
     with open(path, "rb") as f:
         raw = f.read()
     if not raw.startswith(b"P5"):
@@ -52,12 +55,14 @@ def read_pgm(path: str) -> ImageGrid:
         width, height, maxval = (int(t) for t in tokens)
     except ValueError as exc:
         raise FormatError(f"{path}: bad PGM header") from exc
+    if width < 1 or height < 1:
+        raise FormatError(f"{path}: image dimensions must be positive")
     if maxval != 255:
         raise FormatError(f"{path}: only maxval 255 is supported, got {maxval}")
     if len(raw) - pos < width * height:
         raise FormatError(f"{path}: truncated pixel data")
     pixels = np.frombuffer(raw, dtype=np.uint8, count=width * height, offset=pos)
-    return ImageGrid(height, width, pixels.reshape(height, width) / 255.0)
+    return ImageVector(pixels / 255.0, (height, width))
 
 
 # ---------------------------------------------------------------------------

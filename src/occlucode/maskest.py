@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FACE, Block, BlockedDictionary, ImageGrid, ImageVector, OcclusionMask
+from .core import FACE, Block, BlockedDictionary, ImageVector, OcclusionMask
 from .errors import BadHError, DegenerateError, DimMismatchError, ZeroPatternError
 from .graphcut import grid_edges, maximize_grid_mrf, mrf_energy
 from .imageio import write_pgm
@@ -141,9 +141,7 @@ def estimate_mask(
     return MaskEstimate(OcclusionMask(z, u.shape), ImageVector(pattern, u.shape), it)
 
 
-def extract_pattern(
-    u: ImageVector, basis: BlockedDictionary, est: MaskEstimate
-) -> ImageVector:
+def extract_pattern(est: MaskEstimate) -> ImageVector:
     """Final error restricted to occluded pixels, unit-normalized."""
     if np.all(est.mask.support == 1):
         raise ZeroPatternError("mask has no occluded pixels")
@@ -151,19 +149,14 @@ def extract_pattern(
     nrm = np.linalg.norm(p)
     if nrm < 1e-12:
         raise ZeroPatternError("occluded-region residual is numerically zero")
-    return ImageVector(p / nrm, u.shape, normalized=True)
+    return ImageVector(p / nrm, est.pattern.shape, normalized=True)
 
 
 def _dump_iteration(debug_dir, it, e_full, z, shape):
     os.makedirs(debug_dir, exist_ok=True)
-    h, w = shape
     err = np.abs(e_full)
     top = err.max() if err.max() > 0 else 1.0
-    write_pgm(
-        os.path.join(debug_dir, f"error_{it:02d}.pgm"),
-        ImageGrid(h, w, (err / top).reshape(h, w)),
-    )
-    write_pgm(
-        os.path.join(debug_dir, f"support_{it:02d}.pgm"),
-        ImageGrid(h, w, z.reshape(h, w).astype(float)),
-    )
+    write_pgm(os.path.join(debug_dir, f"error_{it:02d}.pgm"),
+              ImageVector(err / top, shape))
+    write_pgm(os.path.join(debug_dir, f"support_{it:02d}.pgm"),
+              ImageVector(z.astype(float), shape))

@@ -9,6 +9,7 @@ keyed on the corpus seed, so regeneration is byte-identical.
 
 from __future__ import annotations
 
+import functools
 import os
 import zlib
 from dataclasses import dataclass, replace
@@ -19,10 +20,9 @@ from .core import (
     FACE,
     Block,
     BlockedDictionary,
-    ImageGrid,
     ImageVector,
     OcclusionMask,
-    vectorize,
+    normalize_vector,
 )
 from .errors import BadSpecError, UnknownShapeError
 from .imageio import write_manifest, write_pgm
@@ -139,12 +139,10 @@ def _draw_face(rng, basis: np.ndarray) -> np.ndarray:
     return img / top if top > 0 else img
 
 
-def _faces_for_class(spec, basis, class_idx, purpose, count) -> list[ImageGrid]:
+def _faces_for_class(spec, basis, class_idx, purpose, count) -> list[ImageVector]:
     rng = _rng(spec, purpose, class_idx)
-    return [
-        ImageGrid(spec.height, spec.width, _draw_face(rng, basis))
-        for _ in range(count)
-    ]
+    shape = (spec.height, spec.width)
+    return [ImageVector(_draw_face(rng, basis), shape) for _ in range(count)]
 
 
 def generate_gallery(
@@ -157,11 +155,11 @@ def generate_gallery(
     for i, basis in enumerate(bases):
         label = spec.class_label(i)
         for g in _faces_for_class(spec, basis, i, "train", spec.samples_per_class):
-            cols.append(vectorize(g, normalize=True).data)
+            cols.append(normalize_vector(g).data)
         blocks.append(Block(label, FACE, pos, pos + spec.samples_per_class))
         pos += spec.samples_per_class
         for g in _faces_for_class(spec, basis, i, "test", spec.n_test):
-            test.append((vectorize(g), label))
+            test.append((g, label))
     train = BlockedDictionary(np.stack(cols, axis=1), tuple(blocks))
     return train, test
 
@@ -192,10 +190,14 @@ def _region_pixels(shape: OcclusionShape, h: int, w: int, rng) -> np.ndarray:
     return flat
 
 
+@functools.lru_cache(maxsize=16)
 def _texture(spec: SynthSpec, shape: OcclusionShape) -> np.ndarray:
+    """The category texture, drawn once per (spec, shape) and read-only."""
     rng = _rng(spec, "texture", shape.name)
     raw = _smooth(rng.standard_normal((spec.height, spec.width)), passes=1)
-    return 0.1 + 0.85 * _unit_range(raw)
+    tex = 0.1 + 0.85 * _unit_range(raw)
+    tex.setflags(write=False)
+    return tex
 
 
 def apply_occlusion(
@@ -254,10 +256,10 @@ def generate_corpus(spec: SynthSpec, plan: CorpusPlan, out_dir: str) -> str:
             shape_name = shape_names[j % len(shape_names)]
             mask_path = "-"
             if shape_name:
-                occ, mask = apply_occlusion(vectorize(g), shape_name, aug)
-                g, mask_path = occ.to_grid(), name + "_mask.pgm"
-                support = np.asarray(mask.support, dtype=float).reshape(mask.shape)
-                write_pgm(os.path.join(out_dir, mask_path), ImageGrid(*mask.shape, support))
+                g, mask = apply_occlusion(g, shape_name, aug)
+                mask_path = name + "_mask.pgm"
+                write_pgm(os.path.join(out_dir, mask_path),
+                          ImageVector(mask.support.astype(float), mask.shape))
             write_pgm(os.path.join(out_dir, name + ".pgm"), g)
             rows.append(
                 {

@@ -43,7 +43,6 @@ from occlucode import (
     normalize_vector,
     solve_group_bpdn,
     solve_l1_bpdn,
-    vectorize,
     with_identity_block,
 )
 from occlucode.cli import main
@@ -263,7 +262,7 @@ def test_criterion_05_structured_vs_l1_vs_src(capsys):
     for ci in range(10):
         label = spec.class_label(ci)
         for g in _faces_for_class(spec, bases[ci], ci, "collect-scarf", 6):
-            occluded, _ = apply_occlusion(vectorize(g), "scarf", spec)
+            occluded, _ = apply_occlusion(g, "scarf", spec)
             patterns.append(
                 collect_soc(normalize_vector(occluded), train, label, mask_cfg)
             )
@@ -317,7 +316,7 @@ def _train_occ_dicts(spec, train, bases, categories, mask_cfg):
         for ci in range(8):
             label = spec.class_label(ci)
             for g in _faces_for_class(spec, bases[ci], ci, f"collect-{cat}", 4):
-                occluded, _ = apply_occlusion(vectorize(g), cat, spec)
+                occluded, _ = apply_occlusion(g, cat, spec)
                 patterns.append(
                     collect_soc(normalize_vector(occluded), train, label,
                                 mask_cfg)
@@ -394,7 +393,7 @@ def test_criterion_07_rejection_roc(capsys):
         occ_v.append(out.rdi_occlusion)
     for ci in range(spec.classes, spec.classes + 10):  # unenrolled subjects
         for g in _faces_for_class(spec, bases[ci], ci, "invalid", 6):
-            occluded, _ = apply_occlusion(vectorize(g), trained[ci % 3], spec)
+            occluded, _ = apply_occlusion(g, trained[ci % 3], spec)
             rdi_i.append(classify(feat(occluded, th, tw), R, cfg).rdi_face)
     for v, label in test[60:120]:  # unknown occlusion category
         occluded, _ = apply_occlusion(v, "odd", spec)
@@ -428,7 +427,7 @@ def test_criterion_08_ksvd_monotone(capsys):
     for ci in range(3):
         label = spec.class_label(ci)
         for g in _faces_for_class(spec, bases[ci], ci, "collect-scarf", 4):
-            occluded, _ = apply_occlusion(vectorize(g), "scarf", spec)
+            occluded, _ = apply_occlusion(g, "scarf", spec)
             patterns.append(
                 collect_soc(normalize_vector(occluded), train, label, mask_cfg)
             )
@@ -468,7 +467,7 @@ def test_criterion_09_dictionary_size_sweep(capsys):
         for ci in range(8):
             label = spec.class_label(ci)
             for g in _faces_for_class(spec, bases[ci], ci, f"collect-{cat}", 2):
-                occluded, _ = apply_occlusion(vectorize(g), cat, spec)
+                occluded, _ = apply_occlusion(g, cat, spec)
                 patterns.append(
                     collect_soc(normalize_vector(occluded), train, label,
                                 mask_cfg)

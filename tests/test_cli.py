@@ -389,13 +389,15 @@ def test_roc_output(corpus, occdict, tmp_path):
     assert last[0] == 1.0 and last[1] == 1.0  # every valid accepted at theta=1
 
 
-@pytest.mark.parametrize("flags, column", [
-    (["--occdict", "one"], "tpr_occlusion"),  # the test rows' shape is known
-    (["--mode", "src"], "fpr_occlusion"),  # no occlusion dictionary knows it
+@pytest.mark.parametrize("flags, columns", [
+    (["--occdict", "one"], ("tpr_occlusion",)),  # the test rows' shape is known
+    # no occlusion dictionary knows it, so tpr_occlusion has no rows at all
+    (["--mode", "src"], ("tpr_occlusion", "fpr_occlusion")),
 ], ids=["one-occdict", "src"])
-def test_roc_without_an_occlusion_task(corpus, occdict, tmp_path, flags, column):
+def test_roc_without_an_occlusion_task(corpus, occdict, tmp_path, flags, columns):
     # with fewer than two occlusion blocks no probe has an occlusion RDI, so
-    # the occlusion rows' column has no rate; the face columns are unchanged
+    # the occlusion rows' column has no rate, and neither has a column with
+    # no rows; the face columns are unchanged
     flags = [occdict if f == "one" else f for f in flags]
     argv = ["--corpus", corpus, "--features", "10x8"] + flags
     assert main(["roc", "--out", str(tmp_path / "roc")] + argv) == 0
@@ -407,7 +409,7 @@ def test_roc_without_an_occlusion_task(corpus, occdict, tmp_path, flags, column)
         roc = list(csv.DictReader(f))
     assert len(roc) == 101
     for row in roc:
-        assert row[column] == "nan"
+        assert [row[c] for c in columns] == ["nan"] * len(columns)
         assert float(row["tpr_face"]) == float(np.mean(rdi <= float(row["theta"])))
 
 
@@ -744,6 +746,17 @@ def test_exit_code_data_error(tmp_path):
     rc = main(
         ["classify", "--corpus", str(tmp_path / "nope"),
          "--out", str(tmp_path / "o")]
+    )
+    assert rc == 2
+
+
+def test_exit_code_pgm_without_pixels(corpus, tmp_path):
+    bad = tmp_path / "corpus"
+    shutil.copytree(corpus, bad)
+    (bad / "gallery_class000_00.pgm").write_bytes(b"P5\n0 2\n255\n")
+    rc = main(
+        ["classify", "--corpus", str(bad), "--out", str(tmp_path / "o"),
+         "--mode", "src"]
     )
     assert rc == 2
 

@@ -6,14 +6,12 @@ import pytest
 from occlucode import (
     Block,
     BlockedDictionary,
-    ImageGrid,
     ImageVector,
     SparseCoefficients,
     downsample_dictionary,
     downsample_vector,
     normalize_vector,
     residual,
-    vectorize,
 )
 from occlucode.core import FACE, OCCLUSION, normalize_columns
 from occlucode.errors import (
@@ -28,44 +26,41 @@ from conftest import random_dictionary
 
 
 # ---------------------------------------------------------------------------
-# vectorize
+# vectorize: an image is a row-major vector that keeps its grid shape
 
 
 def test_vectorize_3_4_5_already_unit():
-    g = ImageGrid(1, 2, np.array([[0.6, 0.8]]))
-    v = vectorize(g, normalize=True)
+    v = normalize_vector(ImageVector(np.array([[0.6, 0.8]]), (1, 2)))
     assert np.allclose(v.data, [0.6, 0.8])
     assert v.normalized
 
 
 def test_vectorize_flatten_identity():
-    g = ImageGrid(2, 2, np.full((2, 2), 0.5))
-    assert np.array_equal(vectorize(g).data, [0.5] * 4)
+    v = ImageVector(np.arange(6.0).reshape(2, 3) / 10, (2, 3))
+    assert np.array_equal(v.data, np.arange(6.0) / 10)  # row major
+    assert v.shape == (2, 3)
 
 
 def test_vectorize_unit_norm_constant():
-    g = ImageGrid(2, 2, np.full((2, 2), 0.5))
-    v = vectorize(g, normalize=True)
+    v = normalize_vector(ImageVector(np.full((2, 2), 0.5), (2, 2)))
     assert np.allclose(v.data, [0.5] * 4)  # norm was already 1
 
 
 def test_vectorize_zero_with_normalize_raises():
-    g = ImageGrid(2, 2, np.zeros((2, 2)))
+    v = ImageVector(np.zeros((2, 2)), (2, 2))
     with pytest.raises(ZeroNormError):
-        vectorize(g, normalize=True)
+        normalize_vector(v)
 
 
 def test_flatten_roundtrip(rng):
     vals = rng.uniform(size=(7, 5))
-    g = ImageGrid(7, 5, vals)
-    assert np.array_equal(vectorize(g).to_grid().values, g.values)
+    v = ImageVector(vals, (7, 5))
+    assert np.array_equal(v.data.reshape(v.shape), vals)
 
 
-def test_image_grid_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        ImageGrid(1, 2, np.array([[0.5, 1.2]]))
+def test_image_vector_rejects_wrong_length():
     with pytest.raises(DimMismatchError):
-        ImageGrid(2, 2, np.zeros((2, 3)))
+        ImageVector(np.zeros((2, 3)), (2, 2))
 
 
 def test_normalize_vector():
@@ -80,31 +75,31 @@ def test_normalize_vector():
 
 
 def test_downsample_mean_of_all():
-    g = ImageGrid(2, 2, np.array([[0.0, 0.0], [1.0, 1.0]]))
-    out = downsample_vector(vectorize(g), 1, 1)
+    v = ImageVector(np.array([0.0, 0.0, 1.0, 1.0]), (2, 2))
+    out = downsample_vector(v, 1, 1)
     assert out.data[0] == pytest.approx(0.5)
 
 
 def test_downsample_constant_preserved():
-    g = ImageGrid(4, 4, np.full((4, 4), 0.3))
-    out = downsample_vector(vectorize(g), 2, 2)
+    v = ImageVector(np.full(16, 0.3), (4, 4))
+    out = downsample_vector(v, 2, 2)
     assert np.allclose(out.data, 0.3)
 
 
 def test_downsample_83x60_to_12x10_gives_120_features(rng):
-    g = ImageGrid(83, 60, rng.uniform(size=(83, 60)))
-    out = downsample_vector(vectorize(g), 12, 10)
+    v = ImageVector(rng.uniform(size=83 * 60), (83, 60))
+    out = downsample_vector(v, 12, 10)
     assert out.m == 120 and out.shape == (12, 10)
 
 
 def test_downsample_preserves_mean_when_divisible(rng):
-    g = ImageGrid(8, 6, rng.uniform(size=(8, 6)))
-    out = downsample_vector(vectorize(g), 4, 3)
-    assert out.data.mean() == pytest.approx(g.values.mean(), abs=1e-12)
+    v = ImageVector(rng.uniform(size=8 * 6), (8, 6))
+    out = downsample_vector(v, 4, 3)
+    assert out.data.mean() == pytest.approx(v.data.mean(), abs=1e-12)
 
 
 def test_downsample_bad_targets():
-    v = vectorize(ImageGrid(4, 4, np.zeros((4, 4))))
+    v = ImageVector(np.zeros(16), (4, 4))
     for th, tw in [(0, 2), (2, 0), (5, 2), (2, 5)]:
         with pytest.raises(BadDimsError):
             downsample_vector(v, th, tw)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from occlucode import Block, BlockedDictionary, ImageGrid
+from occlucode import Block, BlockedDictionary, ImageVector
 from occlucode.core import FACE, OCCLUSION, normalize_columns
 from occlucode.imageio import (
     FormatError,
@@ -21,19 +21,28 @@ from occlucode.imageio import (
 def test_pgm_roundtrip(tmp_path, rng):
     # quantized values survive the write/read cycle exactly
     raw = np.rint(rng.uniform(size=(9, 7)) * 255) / 255.0
-    img = ImageGrid(9, 7, raw)
+    img = ImageVector(raw, (9, 7))
     path = str(tmp_path / "x.pgm")
     write_pgm(path, img)
     back = read_pgm(path)
-    assert back.height == 9 and back.width == 7
-    assert np.array_equal(back.values, img.values)
+    assert back.shape == (9, 7)
+    assert np.array_equal(back.data, img.data)
+
+
+@pytest.mark.parametrize("bad", [1.2, -0.1])
+def test_pgm_write_rejects_out_of_range(tmp_path, bad):
+    path = tmp_path / "r.pgm"
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        write_pgm(str(path), ImageVector(np.array([0.5, bad]), (1, 2)))
+    assert not path.exists()
 
 
 def test_pgm_header_with_comment(tmp_path):
     path = tmp_path / "c.pgm"
     path.write_bytes(b"P5\n# a comment\n2 2\n255\n\x00\x80\xff\x40")
     img = read_pgm(str(path))
-    assert img.values[0, 1] == pytest.approx(128 / 255)
+    assert img.shape == (2, 2)
+    assert img.data[1] == pytest.approx(128 / 255)
 
 
 def test_pgm_rejects_bad_magic(tmp_path):
@@ -47,6 +56,13 @@ def test_pgm_rejects_truncated(tmp_path):
     path = tmp_path / "t.pgm"
     path.write_bytes(b"P5\n4 4\n255\n\x00\x00")
     with pytest.raises(FormatError):
+        read_pgm(str(path))
+
+
+def test_pgm_rejects_empty_dims(tmp_path):
+    path = tmp_path / "e.pgm"
+    path.write_bytes(b"P5\n0 2\n255\n")
+    with pytest.raises(FormatError, match="positive"):
         read_pgm(str(path))
 
 

@@ -21,7 +21,6 @@ from occlucode import (
     generate_gallery,
     normalize_vector,
     update_support,
-    vectorize,
 )
 from occlucode.core import FACE, normalize_columns
 from occlucode.errors import BadHError, DegenerateError, ZeroPatternError
@@ -267,14 +266,14 @@ def test_extract_pattern_all_ones_raises():
     u = normalize_vector(v)
     est = estimate_mask(u, train.subdict(label), MaskEstimatorConfig(beta=1.5))
     with pytest.raises(ZeroPatternError):
-        extract_pattern(u, train.subdict(label), est)
+        extract_pattern(est)
 
 
 def test_extract_pattern_correlates_with_truth():
     spec, train, label, u, truth, v_occ = _occluded_scene(seed=7)
     basis = train.subdict(label)
     est = estimate_mask(u, basis, MaskEstimatorConfig(beta=1.5))
-    pattern = extract_pattern(u, basis, est)
+    pattern = extract_pattern(est)
     corr = np.abs(pattern.data @ v_occ) / max(np.linalg.norm(v_occ), 1e-12)
     assert corr >= 0.8
     assert abs(np.linalg.norm(pattern.data) - 1.0) < 1e-9

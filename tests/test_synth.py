@@ -176,6 +176,17 @@ def test_category_textures_distinct():
     assert corr < 0.3
 
 
+def test_texture_drawn_once_per_spec_and_shape():
+    from occlucode.synth import _texture
+
+    shape = OcclusionShape("a", "lower-band", 0.5)
+    t = _texture(_spec_with((shape,)), shape)
+    assert _texture(_spec_with((shape,)), shape) is t  # an equal spec hits the cache
+    assert not t.flags.writeable
+    other = _texture(_spec_with((shape,), seed=1), shape)
+    assert other is not t and not np.array_equal(other, t)
+
+
 def test_unknown_shape_raises():
     spec = _spec_with((OcclusionShape("r", "rectangle", 0.25),))
     _, test = generate_gallery(spec)

@@ -1,9 +1,11 @@
 """The benchmark's span tracer finds every function it names in the library
-and puts each one back when it is removed."""
+and puts each one back when it is removed; the benchmark's workloads call
+only public names that exist."""
 
 import importlib
 import importlib.util
 import os
+import re
 
 import occlucode
 
@@ -37,3 +39,11 @@ def test_tracer_install_wraps_every_layer_and_uninstall_restores():
         t.uninstall()
     for (name, attr), fn in bindings.items():
         assert vars(importlib.import_module(name))[attr] is fn, f"{name}.{attr}"
+
+
+def test_workloads_call_only_existing_public_names():
+    with open(os.path.join(ROOT, "perfbench", "workloads.py")) as f:
+        names = set(re.findall(r"\boc\.([A-Za-z_]\w*)", f.read()))
+    assert names  # the workloads reach the library through ``oc.``
+    missing = sorted(n for n in names if not hasattr(occlucode, n))
+    assert not missing, f"perfbench/workloads.py calls missing names {missing}"
