@@ -53,10 +53,7 @@ def maximize_grid_mrf(
         raise ValueError("beta must be >= 0")
 
     # cost of each label after the pairwise rewrite (we minimize -E)
-    deg = np.zeros(m)
-    if edges.size:
-        np.add.at(deg, edges[:, 0], 1.0)
-        np.add.at(deg, edges[:, 1], 1.0)
+    deg = np.bincount(edges.ravel(), minlength=m)
     cost1 = -theta1 - 0.5 * beta * deg
     cost0 = -theta0
 

@@ -18,7 +18,10 @@ are solved together: each keeps its own mu and bracket, and their MFISTA
 iterations run in lockstep, so those products are matrix products. The
 momentum is never restarted: gradient-based adaptive restart (O'Donoghue
 & Candes 2015) saves iterations, but the iterate-change test then stops
-at solutions farther from the optimum, and labels follow them.
+at solutions farther from the optimum, and labels follow them. Each
+report carries the relative duality gap of the penalized problem at the
+mu its solution was solved at, a certificate that the stopping test
+does not use.
 
 A second solver performs l1 error fitting (least absolute deviations),
 used by the occlusion-mask estimator: min_x ||b - A x||_1 is solved as its
@@ -71,6 +74,7 @@ class SolveReport:
     final_residual: float
     objective: float
     converged: bool
+    gap: float  # relative duality gap of the penalized solve that gave w
 
 
 def default_group_weight(dictionary: BlockedDictionary) -> float:
@@ -120,6 +124,19 @@ def block_prox(v, thresholds, starts, sizes):
 
 # ---------------------------------------------------------------------------
 # penalized inner solver (monotone FISTA)
+
+
+def _bpdn_gap(R, u, w, r, mu, starts, weights) -> float:
+    """Relative duality gap of  mu * block_penalty(w) + 0.5||r||^2  at
+    r = u - R w.
+
+    The dual point is r scaled into the dual feasible set
+    {theta : ||R_b^T theta|| <= mu c_b for every block b}."""
+    primal = mu * block_penalty(w, starts, weights) + 0.5 * (r @ r)
+    dual_norm = float(np.max(_block_norms(R.T @ r, starts) / weights, initial=0.0))
+    theta = r * (mu / dual_norm) if dual_norm > mu else r
+    dual = 0.5 * (u @ u) - 0.5 * ((u - theta) @ (u - theta))
+    return float((primal - dual) / primal)
 
 
 def _mfista(R, u, w0, mu, step, starts, sizes, weights, max_iters, tol):
@@ -225,7 +242,10 @@ class _Continuation:
         self.u = u
         self.w = np.zeros(n)
         self.iters = 0
-        self.best = None  # (mu, w, resid) with resid <= hi, largest mu seen
+        # (mu, w, r) of a solve, with the mu it was solved at: self.mu has
+        # moved on when the search ends at max_continuation
+        self.last = None
+        self.best = None  # the solve with ||r|| <= hi at the largest mu seen
         log_hi = np.log10(mu_max)
         self.bracket = [log_hi - 14.0, log_hi]
         self.mu = 10.0 ** (log_hi - 2.0)
@@ -234,11 +254,12 @@ class _Continuation:
         """Take the penalized solution at self.mu; True once the search ends."""
         self.w = w
         self.iters += it
-        self.resid = float(np.linalg.norm(r))
-        if self.resid <= hi:
+        self.last = (self.mu, w, r)
+        resid = float(np.linalg.norm(r))
+        if resid <= hi:
             if self.best is None or self.mu > self.best[0]:
-                self.best = (self.mu, w, self.resid)
-            if self.resid >= lo:
+                self.best = self.last
+            if resid >= lo:
                 return True
             self.bracket[0] = np.log10(self.mu)  # residual too small -> raise mu
         else:
@@ -248,15 +269,13 @@ class _Continuation:
         self.mu = 10.0 ** (0.5 * (self.bracket[0] + self.bracket[1]))
         return False
 
-    def report(self, starts, weights) -> SolveReport:
+    def report(self, R, starts, weights) -> SolveReport:
         """The solution at the largest mu whose residual met hi; without
         one, the last iterate, reported as not converged."""
-        if self.best is None:
-            w, resid = self.w, self.resid
-        else:
-            _, w, resid = self.best
-        return SolveReport(SparseCoefficients(w), self.iters, resid,
-                           block_penalty(w, starts, weights), self.best is not None)
+        mu, w, r = self.last if self.best is None else self.best
+        return SolveReport(SparseCoefficients(w), self.iters, float(np.linalg.norm(r)),
+                           block_penalty(w, starts, weights), self.best is not None,
+                           _bpdn_gap(R, self.u, w, r, mu, starts, weights))
 
 
 def _solve_bpdn(us, dictionary, cfg, starts, weights):
@@ -283,7 +302,7 @@ def _solve_bpdn(us, dictionary, cfg, starts, weights):
         if u_norm <= eps or mu_max == 0.0:
             # w = 0 is the solution, but it meets the bound only if u does
             reports[j] = SolveReport(SparseCoefficients(np.zeros(dictionary.n)), 0,
-                                     float(u_norm), 0.0, bool(u_norm <= hi))
+                                     float(u_norm), 0.0, bool(u_norm <= hi), 0.0)
         else:
             live.append((j, _Continuation(u, mu_max, dictionary.n)))
     searches = list(live)
@@ -304,7 +323,7 @@ def _solve_bpdn(us, dictionary, cfg, starts, weights):
         live = [(j, c) for (j, c), solution in zip(live, solved)
                 if not c.update(*solution, lo, hi)]
     for j, c in searches:
-        reports[j] = c.report(starts, weights)
+        reports[j] = c.report(R, starts, weights)
     return reports
 
 
@@ -384,12 +403,20 @@ def lad_fit(A: np.ndarray, b: np.ndarray) -> LadFit:
         max b^T y  s.t.  A^T y = 0,  -1 <= y <= 1
 
     whose equality multipliers are -x. Raises DegenerateError when the LP
-    fails or the duality gap exceeds LAD_GAP_RTOL relative to the fit."""
+    fails or the duality gap exceeds LAD_GAP_RTOL relative to the fit.
+
+    Adding a null-space vector of A to x changes neither A @ x nor the
+    fit. So when A has lower rank than columns, as every labeled basis of
+    the synthetic gallery does, x is one minimizer of many, and callers
+    should read the fitted values A @ x, not x."""
     # at HiGHS's default dual feasibility tolerance (1e-7) some mask fits
     # stop at a vertex ~1e-8 short of the optimum; at 1e-10 the largest
-    # relative gap over 3,300 of them was 1.2e-12
+    # relative gap over 3,300 of them was 1.4e-13. Presolve is off: it
+    # removes nothing from these dense LPs (a few equality rows, hundreds
+    # of boxed columns) yet doubles the solve time
     res = linprog(-b, A_eq=A.T, b_eq=np.zeros(A.shape[1]), bounds=(-1, 1),
-                  method="highs", options={"dual_feasibility_tolerance": 1e-10})
+                  method="highs",
+                  options={"dual_feasibility_tolerance": 1e-10, "presolve": False})
     if not res.success:
         raise DegenerateError(f"l1 regression LP failed: {res.message}")
     x = -res.eqlin.marginals
@@ -402,5 +429,8 @@ def lad_fit(A: np.ndarray, b: np.ndarray) -> LadFit:
 
 
 def l1_regression(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """argmin_x ||b - A x||_1, certified by lad_fit's duality gap."""
+    """argmin_x ||b - A x||_1, certified by lad_fit's duality gap.
+
+    For a rank-deficient A this is one minimizer of many, which differ by
+    null-space vectors of A and share A @ x (see lad_fit)."""
     return lad_fit(A, b).x

@@ -19,6 +19,7 @@ from occlucode import (
     estimate_mask,
     extract_pattern,
     generate_gallery,
+    maskest,
     normalize_vector,
     update_support,
 )
@@ -219,6 +220,29 @@ def test_estimate_mask_rectangle_iou():
     true_occ = np.asarray(truth.support) == 0
     iou = (est_occ & true_occ).sum() / max((est_occ | true_occ).sum(), 1)
     assert iou >= 0.7
+
+
+def test_estimate_mask_ignores_the_choice_of_minimizer(monkeypatch):
+    # the labeled basis has lower rank than atoms, so each LAD fit has many
+    # minimizers x with the same A @ x; the mask must not depend on which
+    spec, train, label, u, truth, _ = _occluded_scene()
+    basis = train.subdict(label)
+    cfg = MaskEstimatorConfig(beta=1.5)
+    ref = estimate_mask(u, basis, cfg)
+    fit = maskest.l1_regression
+    shifts = []
+
+    def shifted(A, b):
+        _, s, vt = np.linalg.svd(A)
+        assert s[-1] <= 1e-10 * s[0]
+        shifts.append(vt[-1])
+        return fit(A, b) + 2.5 * vt[-1]  # a null-space vector of A
+
+    monkeypatch.setattr(maskest, "l1_regression", shifted)
+    est = estimate_mask(u, basis, cfg)
+    assert len(shifts) == est.iterations == ref.iterations
+    assert np.array_equal(est.mask.support, ref.mask.support)
+    assert np.max(np.abs(est.pattern.data - ref.pattern.data)) <= 1e-12
 
 
 def test_estimate_mask_pattern_consistency():

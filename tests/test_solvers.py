@@ -18,7 +18,7 @@ from occlucode import (
     solve_l1_bpdn,
     solvers,
 )
-from occlucode.core import FACE, normalize_columns
+from occlucode.core import FACE, OCCLUSION, normalize_columns
 from occlucode.errors import DegenerateError, DimMismatchError
 from occlucode.solvers import (
     LAD_GAP_RTOL,
@@ -501,6 +501,57 @@ def test_zero_code_probe_outside_the_bound_is_not_converged(solve_many, solve):
     assert first.converged and first.iterations > 0 and first.final_residual <= 0.05
     assert (second.converged, second.iterations) == (False, 0)
     assert second.final_residual == pytest.approx(1.0)
+    assert rep.gap == second.gap == 0.0
+
+
+def penalized_gap(R, u, w, mu, block_cols, weights):
+    """The relative duality gap of mu * sum_b c_b ||w_b|| + 0.5 ||u - R w||^2,
+    with the residual scaled into the dual ball as the dual point."""
+    r = u - R @ w
+    primal = mu * sum(c * np.linalg.norm(w[cols]) for cols, c in zip(block_cols, weights))
+    primal += 0.5 * (r @ r)
+    dual_norm = max(np.linalg.norm(R[:, cols].T @ r) / c for cols, c in zip(block_cols, weights))
+    theta = r * min(1.0, mu / dual_norm)
+    dual = 0.5 * (u @ u) - 0.5 * ((u - theta) @ (u - theta))
+    return (primal - dual) / primal
+
+
+@pytest.mark.parametrize("mode", ["group", "q1", "l1"])
+@pytest.mark.parametrize("max_continuation", [1, 3, 60])
+@pytest.mark.parametrize("probes", [1, 3])
+def test_report_gap_recomputed_from_coefficients(rng, monkeypatch, mode, max_continuation,
+                                                 probes):
+    # two face blocks of weight 1 and an occlusion block of weight lam
+    R = normalize_columns(rng.standard_normal((30, 24)))
+    d = BlockedDictionary(R, (Block("a", FACE, 0, 8), Block("b", FACE, 8, 16),
+                              Block("occ", OCCLUSION, 16, 24)))
+    lam = 0.5
+    if mode == "group":
+        block_cols, weights = [range(0, 8), range(8, 16), range(16, 24)], [1.0, 1.0, lam]
+    else:
+        block_cols = [[j] for j in range(24)]
+        weights = [1.0] * 16 + [lam if mode == "q1" else 1.0] * 8
+    cfg = SolverConfig(epsilon=0.05, lam=lam, q_norm=1.0 if mode == "q1" else 2.0,
+                       max_iters=300, max_continuation=max_continuation)
+    us = [vec(R[:, :8] @ rng.standard_normal(8) + 0.02 * rng.standard_normal(30))
+          for _ in range(probes)]
+    # record the mu at which each solution was solved, by its coefficients
+    solved = []
+    update = solvers._Continuation.update
+
+    def recording(self, w, *args):
+        solved.append((self.mu, w.copy()))
+        return update(self, w, *args)
+
+    monkeypatch.setattr(solvers._Continuation, "update", recording)
+    solve_many = solvers.solve_l1_bpdn_many if mode == "l1" else solvers.solve_group_bpdn_many
+    for u, rep in zip(us, solve_many(us, d, cfg)):
+        w = rep.coefficients.values
+        mus = [mu for mu, w_solved in solved if np.array_equal(w_solved, w)]
+        assert len(mus) == 1
+        expect = penalized_gap(R, u.data, w, mus[0], block_cols, weights)
+        assert rep.gap == pytest.approx(expect, rel=0, abs=1e-10)
+        assert rep.gap >= -1e-12  # weak duality
 
 
 def run_continuation(residuals, eps, frac=0.9):
@@ -514,7 +565,7 @@ def run_continuation(residuals, eps, frac=0.9):
         r[0] = residuals[min(step, len(residuals) - 1)]
         done = c.update(np.full(n, float(step)), r, 3, frac * eps, eps)
         step += 1
-    return c.report(np.arange(n), np.ones(n)), step
+    return c.report(np.eye(6)[:, :n], np.arange(n), np.ones(n)), step
 
 
 def test_continuation_reports_convergence_only_within_eps():
@@ -614,8 +665,11 @@ def _lad_instance(rng, kind):
 def test_lad_dual_matches_primal_oracle(rng, kind):
     A, b = _lad_instance(rng, kind)
     fit = lad_fit(A, b)
-    oracle = np.abs(b - A @ primal_lad_oracle(A, b)).sum()
+    x_oracle = primal_lad_oracle(A, b)
+    oracle = np.abs(b - A @ x_oracle).sum()
     assert abs(fit.primal - oracle) <= 1e-9 * max(1.0, oracle)
+    # x need not be unique (rank-deficient A), but the fitted values are
+    assert np.max(np.abs(A @ fit.x - A @ x_oracle)) <= 1e-9
     assert np.array_equal(l1_regression(A, b), fit.x)
     # the certificate: y is dual feasible, and the objectives are those of
     # x and y and close the gap
