@@ -99,16 +99,17 @@ def _residuals(target, parts, blocks):
     return {b.label: r for b, r in zip(blocks, norms.tolist())}
 
 
-def _argmin_label(residuals_by_label):
+def _label(residuals, theta):
+    """(label, RDI) of one side: the first block with the smallest residual,
+    or REJECTED when the RDI exceeds theta. An RDI that is undefined (one
+    block, or all residuals zero) is NaN and never rejects."""
     # dicts keep block order, so the first minimum is the deterministic pick
-    return min(residuals_by_label, key=residuals_by_label.get)
-
-
-def _safe_rdi(residuals_by_label):
+    label = min(residuals, key=residuals.get)
     try:
-        return rdi(residuals_by_label)
+        index = rdi(residuals)
     except DegenerateError:
-        return float("nan")
+        return label, float("nan")
+    return (ClassificationOutcome.REJECTED if index > theta else label), index
 
 
 def classify(
@@ -150,20 +151,14 @@ def _decide(u, R, report: SolveReport, cfg) -> ClassificationOutcome:
     occ_parts = parts[:, len(face_blocks) :]
 
     face_res = _residuals(u.data - occ_parts.sum(axis=1), face_parts, face_blocks)
-    face_label = _argmin_label(face_res)
-    rdi_face = _safe_rdi(face_res)
-    if np.isfinite(rdi_face) and rdi_face > cfg.theta_face:
-        face_label = ClassificationOutcome.REJECTED
+    face_label, rdi_face = _label(face_res, cfg.theta_face)
 
     occ_res = {}
     occ_label = ClassificationOutcome.NONE
     rdi_occ = float("nan")
     if len(occ_blocks) >= 2:
         occ_res = _residuals(u.data - face_parts.sum(axis=1), occ_parts, occ_blocks)
-        occ_label = _argmin_label(occ_res)
-        rdi_occ = _safe_rdi(occ_res)
-        if np.isfinite(rdi_occ) and rdi_occ > cfg.theta_occlusion:
-            occ_label = ClassificationOutcome.REJECTED
+        occ_label, rdi_occ = _label(occ_res, cfg.theta_occlusion)
 
     return ClassificationOutcome(
         face_label=face_label,

@@ -51,7 +51,6 @@ from .core import (
     normalize_vector,
 )
 from .dictlearn import (
-    SAMPLE_DROP_TOL,
     KsvdConfig,
     OcclusionSampleSet,
     build_sample_set,
@@ -243,16 +242,15 @@ def load_sample_sets(prefixes) -> list[OcclusionSampleSet]:
 # commands
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args, timer) -> int:
     spec = from_options(SynthSpec, args)
     plan = from_options(CorpusPlan, args)
     print(generate_corpus(spec, plan, args.out))
     return 0
 
 
-def cmd_collect(args) -> int:
+def cmd_collect(args, timer) -> int:
     corpus = args.corpus
-    timer = StageTimer()
     os.makedirs(args.out, exist_ok=True)
 
     with timer.time("load"):
@@ -288,10 +286,6 @@ def cmd_collect(args) -> int:
             except (DegenerateError, ZeroPatternError) as exc:
                 rejected.append([row["path"], type(exc).__name__, str(exc)])
                 continue
-            if np.linalg.norm(pattern.data) < SAMPLE_DROP_TOL:
-                tol = np.format_float_scientific(SAMPLE_DROP_TOL, trim="-", exp_digits=1)
-                rejected.append([row["path"], "NearZeroSample", f"norm below {tol}"])
-                continue
             by_category.setdefault(category, []).append(pattern)
 
     with timer.time("write"):
@@ -313,15 +307,13 @@ def cmd_collect(args) -> int:
             ["image", "reason", "detail"],
             rejected,
         )
-    timer.write(args.out)
     for category in by_category:
         print(os.path.join(args.out, f"samples_{category}"))
     return 0
 
 
-def cmd_train(args) -> int:
+def cmd_train(args, timer) -> int:
     cfg = from_options(KsvdConfig, args)
-    timer = StageTimer()
     os.makedirs(args.out, exist_ok=True)
     with timer.time("train"):
         for sample_set in load_sample_sets(args.samples):
@@ -334,7 +326,6 @@ def cmd_train(args) -> int:
                 [[i + 1, float(e)] for i, e in enumerate(trace)],
             )
             print(out_prefix)
-    timer.write(args.out)
     return 0
 
 
@@ -347,7 +338,6 @@ def run_classification(gallery, occ_dicts, probes, args):
         args,
         sparsity_mode=STRUCTURED if args.mode == STRUCTURED else L1,
         solver=from_options(SolverConfig, args),
-        baseline_identity_occlusion=(args.mode == SRC_MODE),
     )
     if args.mode == SRC_MODE:
         R = with_identity_block(gallery)
@@ -406,15 +396,13 @@ def _result_rows(records, debug):
     return header, rows
 
 
-def cmd_classify(args) -> int:
-    timer = StageTimer()
+def cmd_classify(args, timer) -> int:
     os.makedirs(args.out, exist_ok=True)
     with timer.time("classify"):
         records, _ = classify_corpus(args)
     header, rows = _result_rows(records, args.debug)
     out_path = os.path.join(args.out, "results.csv")
     write_csv(out_path, header, rows)
-    timer.write(args.out)
     correct, n_test = count_correct(records)
     if n_test:
         print(f"accuracy {correct}/{n_test} = {correct / n_test:.4f}")
@@ -422,8 +410,7 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def cmd_roc(args) -> int:
-    timer = StageTimer()
+def cmd_roc(args, timer) -> int:
     os.makedirs(args.out, exist_ok=True)
     with timer.time("classify"):
         records, categories = classify_corpus(args)
@@ -466,13 +453,11 @@ def cmd_roc(args) -> int:
         ["theta", "tpr_face", "fpr_face", "tpr_occlusion", "fpr_occlusion"],
         rows,
     )
-    timer.write(args.out)
     print(out_path)
     return 0
 
 
-def cmd_sweep(args) -> int:
-    timer = StageTimer()
+def cmd_sweep(args, timer) -> int:
     os.makedirs(args.out, exist_ok=True)
     with timer.time("load"):
         sample_sets = load_sample_sets(args.samples)
@@ -491,7 +476,6 @@ def cmd_sweep(args) -> int:
             rows.append([size, correct / n_test if n_test else 0.0])
     out_path = os.path.join(args.out, "sweep.csv")
     write_csv(out_path, ["occlusion_atoms", "accuracy"], rows)
-    timer.write(args.out)
     print(out_path)
     return 0
 
@@ -621,7 +605,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.config:
             args = parser.parse_args(with_config(argv, args.command, args.config))
-        return COMMANDS[args.command](args)
+        timer = StageTimer()
+        code = COMMANDS[args.command](args, timer)
+        if timer.stages:
+            timer.write(args.out)
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

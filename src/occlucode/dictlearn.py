@@ -8,6 +8,9 @@ occluded gallery images:
   ssrc  -- orthogonal-projection residual of the whole image
   esrc  -- difference from the sub-dictionary centroid
 
+An image with no pattern raises ZeroPatternError: under soc, a mask with no
+occluded pixels; under ssrc and esrc, a residual of norm below SAMPLE_DROP_TOL.
+
 The collected samples are redundant; K-SVD compresses them into a small
 single-block occlusion dictionary. Its coding step is orthogonal matching
 pursuit at the exact sparsity budget; a sample keeps its previous code when
@@ -29,7 +32,7 @@ from .core import (
     ImageVector,
     normalize_vector,
 )
-from .errors import EmptySamplesError, RankDeficientWarning
+from .errors import EmptySamplesError, RankDeficientWarning, ZeroPatternError
 from .maskest import MaskEstimatorConfig, build_lcd, estimate_mask, extract_pattern
 
 SAMPLE_DROP_TOL = 1e-6
@@ -109,20 +112,21 @@ def collect_ssrc(u: ImageVector, sub: BlockedDictionary) -> ImageVector:
         warnings.warn("sub-dictionary is rank deficient; using pseudo-inverse",
                       RankDeficientWarning)
     resid = u.data - D @ coef
-    return _normalize_or_zero(resid, u.shape)
+    return _unit_sample(resid, u.shape)
 
 
 def collect_esrc(u: ImageVector, sub: BlockedDictionary) -> ImageVector:
     """Normalized difference between u and the column centroid of sub."""
     u = normalize_vector(u)
     centroid = sub.atoms.mean(axis=1)
-    return _normalize_or_zero(u.data - centroid, u.shape)
+    return _unit_sample(u.data - centroid, u.shape)
 
 
-def _normalize_or_zero(v: np.ndarray, shape) -> ImageVector:
+def _unit_sample(v: np.ndarray, shape) -> ImageVector:
     nrm = np.linalg.norm(v)
     if nrm < SAMPLE_DROP_TOL:
-        return ImageVector(np.zeros_like(v), shape)
+        tol = np.format_float_scientific(SAMPLE_DROP_TOL, trim="-", exp_digits=1)
+        raise ZeroPatternError(f"norm below {tol}")
     return ImageVector(v / nrm, shape, normalized=True)
 
 

@@ -36,7 +36,7 @@ class DegenerateError(OcclucodeError):
 
 
 class ZeroPatternError(OcclucodeError):
-    """No occluded pixels available to extract a pattern from."""
+    """No occlusion pattern to collect: no occluded pixels, or a zero residual."""
 
 
 class EmptySamplesError(OcclucodeError):

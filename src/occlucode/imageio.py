@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import numpy as np
 
@@ -36,25 +37,16 @@ def read_pgm(path: str) -> ImageVector:
         raw = f.read()
     if not raw.startswith(b"P5"):
         raise FormatError(f"{path}: not a binary PGM (missing P5 magic)")
-    # header: magic, width, height, maxval; '#' comments allowed
-    tokens = []
-    pos = 2
-    while len(tokens) < 3:
-        while pos < len(raw) and raw[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(raw) and raw[pos : pos + 1] == b"#":
-            while pos < len(raw) and raw[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos : pos + 1].isspace():
-            pos += 1
-        tokens.append(raw[start:pos])
-    pos += 1  # single whitespace after maxval
+    # magic, then width, height and maxval, each after whitespace or '#'
+    # comments, then the one whitespace byte before the pixels
+    header = re.match(rb"P5" + rb"(?:\s|#[^\n]*)+(\S+)" * 3 + rb"\s?", raw)
+    if header is None:
+        raise FormatError(f"{path}: bad PGM header")
     try:
-        width, height, maxval = (int(t) for t in tokens)
+        width, height, maxval = (int(t) for t in header.groups())
     except ValueError as exc:
         raise FormatError(f"{path}: bad PGM header") from exc
+    pos = header.end()
     if width < 1 or height < 1:
         raise FormatError(f"{path}: image dimensions must be positive")
     if maxval != 255:

@@ -125,11 +125,12 @@ def _rng(spec: SynthSpec, *tags) -> np.random.Generator:
     return np.random.default_rng(parts)
 
 
-def _class_bases(spec: SynthSpec, count: int) -> list[np.ndarray]:
-    """One (dim, h, w) stack of smooth nonnegative basis images per class."""
+def _class_bases(spec: SynthSpec, count: int) -> np.ndarray:
+    """(count, dim, h, w): each class's stack of smooth nonnegative basis
+    images, its own seeded draw, all smoothed in one pass."""
     shape = (spec.subspace_dim, spec.height, spec.width)
-    return [_unit_range(_smooth(_rng(spec, "basis", i).standard_normal(shape)))
-            for i in range(count)]
+    raw = np.stack([_rng(spec, "basis", i).standard_normal(shape) for i in range(count)])
+    return _unit_range(_smooth(raw))
 
 
 def _draw_face(rng, basis: np.ndarray) -> np.ndarray:

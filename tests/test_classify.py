@@ -25,8 +25,10 @@ from occlucode import (
     solve_l1_bpdn,
     with_identity_block,
 )
-from occlucode.core import FACE, OCCLUSION, normalize_columns
+from occlucode.classify import _decide
+from occlucode.core import FACE, OCCLUSION, SparseCoefficients, normalize_columns
 from occlucode.errors import DegenerateError, DimMismatchError
+from occlucode.solvers import SolveReport
 
 from conftest import random_dictionary
 
@@ -109,6 +111,46 @@ def test_rdi_degenerate_cases():
         rdi({"a": 1.0})
     with pytest.raises(DegenerateError):
         rdi({"a": 0.0, "b": 0.0})
+
+
+# ---------------------------------------------------------------------------
+# labeling: R = I, so block b's part of the code w is w_b itself
+
+
+def _decide_code(w, blocks, **thetas):
+    """The outcome of the code w over the identity dictionary with the
+    given blocks, for the probe u = w."""
+    w = np.asarray(w, dtype=float)
+    R = BlockedDictionary(np.eye(w.size), blocks)
+    report = SolveReport(SparseCoefficients(w), 1, 0.0, 0.0, True, 0.0)
+    return _decide(ImageVector(w, (1, w.size)), R, report, ClassifierConfig(**thetas))
+
+
+TWO_BY_TWO = (Block("a", FACE, 0, 1), Block("b", FACE, 1, 2),
+              Block("x", OCCLUSION, 2, 3), Block("y", OCCLUSION, 3, 4))
+
+
+@pytest.mark.parametrize("w, theta, label, index", [
+    # occlusion residuals x 0.3, y 0.5: RDI 2 * 0.3 / 0.8
+    ([0.6, 0.0, 0.5, 0.3], 0.8, "x", 0.75),
+    ([0.6, 0.0, 0.5, 0.3], 0.7, ClassificationOutcome.REJECTED, 0.75),
+    # a tie goes to the first block, and RDI 1 is not above theta 1
+    ([0.6, 0.0, 0.5, 0.5], 1.0, "x", 1.0),
+])
+def test_occlusion_label_and_rejection(w, theta, label, index):
+    out = _decide_code(w, TWO_BY_TWO, theta_occlusion=theta)
+    assert (out.occlusion_label, out.rdi_occlusion) == (label, pytest.approx(index))
+    assert (out.face_label, out.rdi_face) == ("a", 0.0)
+
+
+@pytest.mark.parametrize("w, blocks", [
+    ([0.5, 0.3, 0.4], (Block("a", FACE, 0, 1), Block("x", OCCLUSION, 1, 2),
+                       Block("y", OCCLUSION, 2, 3))),  # one face block
+    ([0.0, 0.0, 0.5, 0.3], TWO_BY_TWO),  # every face residual zero
+])
+def test_undefined_rdi_never_rejects(w, blocks):
+    out = _decide_code(w, blocks, theta_face=1e-9)
+    assert out.face_label == "a" and np.isnan(out.rdi_face)
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,12 @@ def occdict(samples, tmp_path_factory):
     return os.path.join(str(out), "occdict_band")
 
 
+def _stages(out_dir):
+    """The stage names of a command's timings.txt, in order."""
+    with open(os.path.join(out_dir, "timings.txt")) as f:
+        return [line.split("\t")[0] for line in f]
+
+
 def _dir_digest(path, suffix=".csv"):
     h = hashlib.sha256()
     for name in sorted(os.listdir(path)):
@@ -130,6 +136,7 @@ def test_synth_writes_manifest_and_pgms(corpus):
     assert sum(n.startswith("gallery_") for n in names) == 4 * 4
     assert any(n.startswith("collect_") for n in names)
     assert any(n.startswith("invalid_") for n in names)
+    assert "timings.txt" not in names  # synth times no stage
 
 
 def test_synth_deterministic(tmp_path):
@@ -206,7 +213,7 @@ def test_collect_outputs(samples):
     assert os.path.exists(samples + ".f64")
     out_dir = os.path.dirname(samples)
     assert os.path.exists(os.path.join(out_dir, "rejected.csv"))
-    assert os.path.exists(os.path.join(out_dir, "timings.txt"))
+    assert _stages(out_dir) == ["load", "collect", "write"]
 
 
 def test_collect_samples_unit_norm(samples):
@@ -262,6 +269,22 @@ def test_collect_ssrc_matches_module(corpus, tmp_path, labeled):
     assert np.array_equal(mat, expect.samples)
 
 
+def test_collect_rejects_a_zero_sample(corpus, tmp_path):
+    # a collect image replaced by a gallery image of its class lies in the
+    # span of the class's gallery block: its ssrc residual is zero
+    bad = tmp_path / "corpus"
+    shutil.copytree(corpus, bad)
+    shutil.copy(bad / "gallery_class000_00.pgm", bad / "collect_band_class000_00.pgm")
+    out = tmp_path / "ssrc"
+    assert main(["collect", "--corpus", str(bad), "--out", str(out),
+                 "--strategy", "ssrc"]) == 0
+    with open(out / "rejected.csv") as f:
+        rows = f.read().strip().splitlines()[1:]
+    assert rows == ["collect_band_class000_00.pgm,ZeroPatternError,norm below 1e-6"]
+    mat, _ = load_matrix(str(out / "samples_band"))
+    assert mat.shape[1] == 3 * 3 - 1
+
+
 def test_collect_debug_dumps_each_outer_iteration(corpus, samples, tmp_path):
     out = tmp_path / "debug"
     rc = main(["collect", "--corpus", corpus, "--out", str(out), "--strategy", "soc",
@@ -309,6 +332,7 @@ def test_train_outputs(occdict):
     errs = [float(l.split(",")[1]) for l in lines[1:]]
     assert len(errs) == 10
     assert all(b <= a + 1e-10 for a, b in zip(errs, errs[1:]))
+    assert _stages(os.path.dirname(occdict)) == ["train"]
 
 
 @pytest.mark.parametrize("iterations", [1, 2])
@@ -351,6 +375,7 @@ def test_classify_structured(corpus, occdict, tmp_path):
     test_rows = [l.split(",") for l in lines[1:] if l.split(",")[1] == "test"]
     correct = sum(r[2] == r[4] for r in test_rows)
     assert correct / len(test_rows) >= 0.8
+    assert _stages(out) == ["classify"]
 
 
 def test_classify_deterministic(corpus, occdict, tmp_path):
@@ -387,6 +412,7 @@ def test_roc_output(corpus, occdict, tmp_path):
     assert len(lines) == 102  # theta 0.00 .. 1.00
     last = [float(x) for x in lines[-1].split(",")]
     assert last[0] == 1.0 and last[1] == 1.0  # every valid accepted at theta=1
+    assert _stages(out) == ["classify"]
 
 
 @pytest.mark.parametrize("flags, columns", [
@@ -456,6 +482,7 @@ def test_sweep_sizes(corpus, samples, tmp_path):
     assert lines[0] == "occlusion_atoms,accuracy"
     sizes = [int(l.split(",")[0]) for l in lines[1:]]
     assert sizes == [0, 2, 4]
+    assert _stages(out) == ["load", "sweep"]
 
 
 # ---------------------------------------------------------------------------

@@ -89,8 +89,8 @@ def test_collect_soc_unlabeled_close_to_labeled():
 def test_collect_ssrc_in_span_is_zero(rng):
     sub = random_dictionary(rng, 10, 3)
     u = ImageVector(sub.atoms @ np.array([0.5, 0.3, 0.2]), (2, 5))
-    out = collect_ssrc(u, sub)
-    assert np.max(np.abs(out.data)) < 1e-8  # zero sample, caller drops it
+    with pytest.raises(ZeroPatternError, match="norm below 1e-6"):
+        collect_ssrc(u, sub)
 
 
 def test_collect_ssrc_orthogonal_passthrough():
@@ -140,6 +140,13 @@ def test_collect_esrc_centroid_is_zero(rng):
     assert np.allclose(
         out.data * max(np.linalg.norm(direct), 1e-12), direct, atol=1e-9
     )
+
+
+def test_collect_esrc_at_a_unit_norm_centroid_raises(rng):
+    sub = random_dictionary(rng, 8, 1)  # a unit-norm centroid
+    u = ImageVector(sub.atoms[:, 0], (2, 4))
+    with pytest.raises(ZeroPatternError, match="norm below 1e-6"):
+        collect_esrc(u, sub)
 
 
 def test_collect_esrc_single_column(rng):
