@@ -166,12 +166,16 @@ def _omp_code(D, s, budget, prev_code):
     code = np.zeros(D.shape[1])
     support: list[int] = []
     r = s
+    # stop once no atom left correlates with the residual beyond rounding:
+    # an atom picked for rounding noise gets a ~1e-14 code entry, and K-SVD's
+    # dead-atom test reads every nonzero entry
+    floor = 1e-10 * np.linalg.norm(s)
     for _ in range(min(budget, D.shape[1])):
         corr = np.abs(D.T @ r)
         corr[support] = 0.0  # zero in exact arithmetic; rounding must not re-pick
         j = int(np.argmax(corr))
-        if corr[j] == 0.0:
-            break  # the residual is zero or orthogonal to every atom left
+        if corr[j] <= floor:
+            break
         support.append(j)
         sol, *_ = np.linalg.lstsq(D[:, support], s, rcond=None)
         code[support] = sol

@@ -37,15 +37,13 @@ def read_pgm(path: str) -> ImageVector:
         raw = f.read()
     if not raw.startswith(b"P5"):
         raise FormatError(f"{path}: not a binary PGM (missing P5 magic)")
-    # magic, then width, height and maxval, each after whitespace or '#'
-    # comments, then the one whitespace byte before the pixels
-    header = re.match(rb"P5" + rb"(?:\s|#[^\n]*)+(\S+)" * 3 + rb"\s?", raw)
+    # magic, then width, height and maxval in decimal digits, each after
+    # whitespace or '#' comments, then the one whitespace byte before the
+    # pixels
+    header = re.match(rb"P5" + rb"(?:\s|#[^\n]*)+(\d+)" * 3 + rb"\s", raw)
     if header is None:
         raise FormatError(f"{path}: bad PGM header")
-    try:
-        width, height, maxval = (int(t) for t in header.groups())
-    except ValueError as exc:
-        raise FormatError(f"{path}: bad PGM header") from exc
+    width, height, maxval = (int(t) for t in header.groups())
     pos = header.end()
     if width < 1 or height < 1:
         raise FormatError(f"{path}: image dimensions must be positive")

@@ -24,10 +24,15 @@ mu its solution was solved at, a certificate that the stopping test
 does not use.
 
 A second solver performs l1 error fitting (least absolute deviations),
-used by the occlusion-mask estimator: min_x ||b - A x||_1 is solved as its
-dual LP, max b^T y s.t. A^T y = 0, -1 <= y <= 1 (Barrodale & Roberts 1973),
-and x is read from the equality multipliers. The dual objective bounds the
-fit from below, so every fit carries its duality gap, which must vanish.
+used by the occlusion-mask estimator: min_x ||b - A x||_1 and its dual LP,
+max b^T y s.t. A^T y = 0, -1 <= y <= 1 (Barrodale & Roberts 1973), are
+solved on the range of A by a numpy Mehrotra interior point (the
+Frisch-Newton method of Portnoy & Koenker 1997). Near the optimum it moves
+to the optimal vertex: an exact fit on as many independent rows as the
+rank of A, with the dual point taken from the residual signs. The fit
+returned is the least-norm x of that vertex. The dual objective bounds the
+fit from below, so every fit carries its duality gap, which must vanish,
+and a dual point that must lie in the box with A^T y = 0.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy import linalg
 
 from .core import FACE, BlockedDictionary, ImageVector, SparseCoefficients
 from .errors import DegenerateError, DimMismatchError
@@ -381,6 +386,8 @@ def solve_group_bpdn(
 
 
 LAD_GAP_RTOL = 1e-9  # certified fits have |primal - dual| <= this * max(1, primal)
+_LAD_MAX_STEPS = 50  # interior-point steps before a fit is declared degenerate
+_STEP_TO_BOUNDARY = 0.99995  # share of the longest step that keeps slacks positive
 
 
 @dataclass
@@ -397,30 +404,130 @@ class LadFit:
         return self.primal - self.dual
 
 
+def _max_step(*pairs):
+    """The largest a <= 1 with x + a dx >= 0 for each pair (x, dx), x > 0."""
+    return 1.0 / max(1.0, max(float(np.max(-dx / x)) for x, dx in pairs))
+
+
+def _lad_vertex(Q, b, r, y, tol):
+    """The vertex (z, y) next to an interior point with dual y and residual
+    r = b - Q z, or None when its dual point is not feasible.
+
+    The vertex fits b exactly on the k rows that LU with partial pivoting
+    of the 1 / (|r| + tol)-weighted rows of Q moves into its leading block:
+    independent rows of small |r|. Its dual point is the sign of the
+    residual where that is nonzero. Dependent rows can leave more zero
+    residuals than k. A zero row whose interior residual outweighs its room
+    to the box, |r| > 1 - |y|, keeps its dual on the box (complementarity
+    drives the smaller of the two to 0), as at a non-unique optimum such as
+    an even-count median; on the other zero rows y is corrected onto
+    Q^T y = 0 by least squares."""
+    k = Q.shape[1]
+    perm = linalg.lu(Q / (np.abs(r) + tol)[:, None], p_indices=True, check_finite=False)[0]
+    basis = np.flatnonzero(perm < k)
+    z = np.linalg.solve(Q[basis], b[basis])
+    res = b - Q @ z
+    zero = np.abs(res) <= tol
+    free = zero & (np.abs(r) <= 1.0 - np.abs(y))
+    y = np.where(free, y, np.sign(np.where(zero, y, res)))
+    if free.any():
+        y[free] -= np.linalg.lstsq(Q[free].T, Q.T @ y, rcond=None)[0]
+    if np.max(np.abs(y)) > 1.0 + 1e-12 or np.max(np.abs(Q.T @ y)) > 1e-12:
+        return None
+    return z, np.clip(y, -1.0, 1.0)  # a free row's y can land on the box
+
+
+def _lad_dual(Q, b):
+    """max b^T y  s.t.  Q^T y = 0, -1 <= y <= 1, for Q with near-orthonormal
+    columns, by Mehrotra predictor-corrector steps (the Frisch-Newton method
+    of Portnoy & Koenker 1997). Returns the optimal vertex (z, y), z
+    minimizing ||b - Q z||_1; raises DegenerateError when none is found
+    within _LAD_MAX_STEPS steps or the steps break down.
+
+    The iterates are y, its box slacks s = 1 - y and t = 1 + y, carried
+    as variables so that they never cancel to 0, and the primal z with
+    the split w - v = b - Q z, w, v > 0. Every iterate is feasible, so
+    the complementarity s^T w + t^T v is the duality gap. Once it is below
+    1e-3 of the objective, each step first tries the vertex."""
+    m = len(b)
+    tol = 1e-11 * max(1.0, float(np.max(np.abs(b))))
+    z = Q.T @ b  # least-squares start
+    r = b - Q @ z
+    spread = max(float(np.mean(np.abs(r))), tol)
+    w, v = np.maximum(r, 0.0) + spread, np.maximum(-r, 0.0) + spread
+    y, s, t = np.zeros(m), np.ones(m), np.ones(m)
+    for step in range(_LAD_MAX_STEPS):
+        comp = s @ w + t @ v
+        if comp <= 1e-3 * max(1.0, abs(b @ y)):
+            vertex = _lad_vertex(Q, b, r, y, tol)
+            if vertex is not None:
+                return vertex
+        d = 1.0 / (w / s + v / t)
+        try:
+            factor = linalg.cho_factor((Q * d[:, None]).T @ Q, check_finite=False)
+        except np.linalg.LinAlgError:  # the steps broke down short of a vertex
+            break
+        rd, rp = r - w + v, -(Q.T @ y)  # rounding drift off feasibility
+
+        def direction(rws, rvt):
+            # Newton step for the complementarities w s = rws, v t = rvt
+            g = rd - rws / s + rvt / t
+            dz = linalg.cho_solve(factor, Q.T @ (d * g) - rp, check_finite=False)
+            dy = d * (g - Q @ dz)
+            return dz, dy, (rws + w * dy) / s, (rvt - v * dy) / t
+
+        dz, dy, dw, dv = direction(-w * s, -v * t)  # affine predictor
+        ap, ad = _max_step((s, -dy), (t, dy)), _max_step((w, dw), (v, dv))
+        comp_aff = (s - ap * dy) @ (w + ad * dw) + (t + ap * dy) @ (v + ad * dv)
+        sigma_mu = (comp_aff / comp) ** 3 * comp / (2 * m)  # centering target
+        dz, dy, dw, dv = direction(sigma_mu - w * s + dy * dw, sigma_mu - v * t - dy * dv)
+        ap = _STEP_TO_BOUNDARY * _max_step((s, -dy), (t, dy))
+        ad = _STEP_TO_BOUNDARY * _max_step((w, dw), (v, dv))
+        y, s, t = y + ap * dy, s - ap * dy, t + ap * dy
+        z, w, v = z + ad * dz, w + ad * dw, v + ad * dv
+        r = b - Q @ z
+    raise DegenerateError(f"l1 regression found no vertex in {step + 1} steps")
+
+
 def lad_fit(A: np.ndarray, b: np.ndarray) -> LadFit:
     """argmin_x ||b - A x||_1 through its dual LP
 
-        max b^T y  s.t.  A^T y = 0,  -1 <= y <= 1
+        max b^T y  s.t.  A^T y = 0,  -1 <= y <= 1.
 
-    whose equality multipliers are -x. Raises DegenerateError when the LP
-    fails or the duality gap exceeds LAD_GAP_RTOL relative to the fit.
-
-    Adding a null-space vector of A to x changes neither A @ x nor the
-    fit. So when A has lower rank than columns, as every labeled basis of
-    the synthetic gallery does, x is one minimizer of many, and callers
-    should read the fitted values A @ x, not x."""
-    # at HiGHS's default dual feasibility tolerance (1e-7) some mask fits
-    # stop at a vertex ~1e-8 short of the optimum; at 1e-10 the largest
-    # relative gap over 3,300 of them was 1.4e-13. Presolve is off: it
-    # removes nothing from these dense LPs (a few equality rows, hundreds
-    # of boxed columns) yet doubles the solve time
-    res = linprog(-b, A_eq=A.T, b_eq=np.zeros(A.shape[1]), bounds=(-1, 1),
-                  method="highs",
-                  options={"dual_feasibility_tolerance": 1e-10, "presolve": False})
-    if not res.success:
-        raise DegenerateError(f"l1 regression LP failed: {res.message}")
-    x = -res.eqlin.marginals
-    fit = LadFit(x, res.x, float(np.abs(b - A @ x).sum()), float(b @ res.x))
+    The LP is solved on the k left singular vectors Q = A V_k S_k^-1 of A,
+    with V and S^2 the eigenvectors and eigenvalues of A^T A, and
+    x = V_k S_k^-1 z for the optimal fit Q z. Directions with a singular
+    value below 1e-6 of the largest count as null space. The minimizers
+    differ by null-space vectors of A when A has lower rank than
+    columns, as every labeled basis of the synthetic gallery does; x is the
+    one of least norm. Raises DegenerateError when no optimal vertex is
+    found or the certificate fails: y must lie in the box with
+    |A^T y| <= 1e-9 max(1, max|A|), and the duality gap must not exceed
+    LAD_GAP_RTOL relative to the fit."""
+    m = A.shape[0]
+    try:
+        # the small eigenproblem, not an SVD of the tall A, whose LAPACK call
+        # makes many small BLAS calls that wake every BLAS thread; rounding
+        # leaves null eigenvalues near 1e-16 of the largest, far below 1e-12
+        lam, V = np.linalg.eigh(A.T @ A)
+        lam, V = lam[::-1], V[:, ::-1]
+        k = int(np.sum(lam > 1e-12 * lam.max(initial=0.0)))
+        sv = np.sqrt(lam[:k])
+        Q = A @ (V[:, :k] / sv)
+        if k == 0:  # A = 0: nothing is fitted and y = sign(b) meets every |b_i|
+            z, y = np.zeros(0), np.sign(b)
+        elif k == m:  # an exact fit; y = 0 is the only dual point
+            z, y = np.linalg.solve(Q, b), np.zeros(m)
+        else:
+            z, y = _lad_dual(Q, b)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateError(f"l1 regression failed: {exc}") from exc
+    x = V[:, :k] @ (z / sv)
+    fit = LadFit(x, y, float(np.abs(b - A @ x).sum()), float(b @ y))
+    if not (np.max(np.abs(y), initial=0.0) <= 1.0
+            and np.max(np.abs(A.T @ y), initial=0.0)
+            <= 1e-9 * max(1.0, np.max(np.abs(A), initial=0.0))):
+        raise DegenerateError("l1 regression dual point is infeasible")
     if not abs(fit.gap) <= LAD_GAP_RTOL * max(1.0, fit.primal):
         raise DegenerateError(
             f"l1 regression duality gap {fit.gap:.3g} at objective {fit.primal:.6g}"
@@ -429,8 +536,5 @@ def lad_fit(A: np.ndarray, b: np.ndarray) -> LadFit:
 
 
 def l1_regression(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """argmin_x ||b - A x||_1, certified by lad_fit's duality gap.
-
-    For a rank-deficient A this is one minimizer of many, which differ by
-    null-space vectors of A and share A @ x (see lad_fit)."""
+    """argmin_x ||b - A x||_1 of least norm, certified by lad_fit."""
     return lad_fit(A, b).x

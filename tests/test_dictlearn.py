@@ -206,6 +206,15 @@ def test_omp_full_budget_is_least_squares(rng, budget):
     assert np.allclose(code, expect, atol=1e-10)
 
 
+def test_omp_stops_at_a_residual_of_rounding_noise(rng):
+    # s is an exact mix of two atoms: after two picks its residual is
+    # rounding noise, which must not buy a third atom a rounding-level entry
+    D = normalize_columns(rng.standard_normal((30, 6)))
+    s = D[:, [1, 4]] @ rng.uniform(0.5, 1.0, 2)
+    code = _omp_code(D, s / np.linalg.norm(s), 4, np.zeros(6))
+    assert np.flatnonzero(code).tolist() == [1, 4]
+
+
 def test_omp_guard_keeps_exact_previous_code():
     # s = a1 + a2, but a3 correlates with s more than a1 or a2 do: greedy
     # OMP picks a3 first and cannot represent s with two atoms

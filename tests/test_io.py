@@ -66,6 +66,16 @@ def test_pgm_rejects_empty_dims(tmp_path):
         read_pgm(str(path))
 
 
+@pytest.mark.parametrize("header", [b"P5\n1_0 1\n255\n", b"P5\n+4 1\n255\n",
+                                    b"P5\n1 1\n255x"])
+def test_pgm_header_reads_digits_only(tmp_path, header):
+    # int() would read 1_0 as 10 and +4 as 4; a maxval must end in whitespace
+    path = tmp_path / "d.pgm"
+    path.write_bytes(header + b"\x00" * 16)
+    with pytest.raises(FormatError, match="bad PGM header"):
+        read_pgm(str(path))
+
+
 def test_pgm_rejects_wrong_maxval(tmp_path):
     path = tmp_path / "m.pgm"
     path.write_bytes(b"P5\n1 1\n65535\n\x00\x00")

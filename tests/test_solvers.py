@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.optimize import OptimizeResult, linprog, minimize
+from scipy.optimize import linprog, minimize
 
 from occlucode import (
     Block,
@@ -655,21 +655,41 @@ def _lad_instance(rng, kind):
     elif kind == "rank-deficient":
         base = rng.standard_normal((200, 4))
         A = np.hstack([base, base[:, :2] @ rng.standard_normal((2, 3))])
+    elif kind == "duplicated-rows":
+        # repeated pixels: the optimal vertex has more zero residuals than
+        # the rank, so its dual point is not fixed by the residual signs
+        A = rng.standard_normal((60, 4))
+        b = rng.standard_normal(60)
+        rows = np.concatenate([np.arange(60), np.arange(20), np.arange(10)])
+        return A[rows], b[rows]
+    elif kind == "even-median":  # every point between the middle two is optimal
+        return np.ones((10, 1)), rng.standard_normal(10)
+    elif kind == "four-levels":
+        # dependent rows: a non-unique optimum whose vertex has more zero
+        # residuals than the rank, some with their dual on the box
+        return rng.integers(0, 4, (130, 4)) / 3.0, rng.integers(0, 4, 130) / 3.0
+    elif kind == "exact-span":
+        A = rng.standard_normal((300, 6))
+        return A, A @ rng.standard_normal(6)
+    elif kind == "zero-basis":  # rank 0: the fit is x = 0
+        A = np.zeros((10, 3))
     else:  # fewer rows than columns: b is fitted exactly
         A = rng.standard_normal((5, 8))
     return A, rng.standard_normal(A.shape[0])
 
 
 @pytest.mark.parametrize(
-    "kind", ["720x4", "720x20", "rank-deficient", "wide"])
+    "kind", ["720x4", "720x20", "rank-deficient", "wide", "duplicated-rows",
+             "even-median", "four-levels", "exact-span", "zero-basis"])
 def test_lad_dual_matches_primal_oracle(rng, kind):
     A, b = _lad_instance(rng, kind)
     fit = lad_fit(A, b)
     x_oracle = primal_lad_oracle(A, b)
     oracle = np.abs(b - A @ x_oracle).sum()
     assert abs(fit.primal - oracle) <= 1e-9 * max(1.0, oracle)
-    # x need not be unique (rank-deficient A), but the fitted values are
-    assert np.max(np.abs(A @ fit.x - A @ x_oracle)) <= 1e-9
+    if kind not in ("even-median", "four-levels"):
+        # x need not be unique (rank-deficient A), but the fitted values are
+        assert np.max(np.abs(A @ fit.x - A @ x_oracle)) <= 1e-9
     assert np.array_equal(l1_regression(A, b), fit.x)
     # the certificate: y is dual feasible, and the objectives are those of
     # x and y and close the gap
@@ -680,6 +700,15 @@ def test_lad_dual_matches_primal_oracle(rng, kind):
     assert abs(fit.gap) <= LAD_GAP_RTOL * max(1.0, fit.primal)
 
 
+def test_lad_returns_least_norm_minimizer(rng):
+    A, b = _lad_instance(rng, "rank-deficient")
+    x = l1_regression(A, b)
+    # a null-space vector of A added to x changes no fitted value
+    null = np.linalg.svd(A)[2][-1]
+    assert np.max(np.abs(A @ null)) < 1e-12
+    assert abs(null @ x) < 1e-12
+
+
 def test_lad_wide_fits_exactly(rng):
     A, b = _lad_instance(rng, "wide")
     fit = lad_fit(A, b)
@@ -688,22 +717,40 @@ def test_lad_wide_fits_exactly(rng):
 
 
 def test_lad_failed_lp_raises_degenerate(rng, monkeypatch):
-    def failing(*args, **kwargs):
-        return OptimizeResult(success=False, status=4, message="numerical difficulties")
-
-    monkeypatch.setattr(solvers, "linprog", failing)
+    # no step of the interior point finds a vertex with a feasible dual
+    monkeypatch.setattr(solvers, "_lad_vertex", lambda *args: None)
     A, b = _lad_instance(rng, "720x4")
-    with pytest.raises(DegenerateError, match="LP failed"):
+    with pytest.raises(DegenerateError, match="no vertex"):
         l1_regression(A, b)
 
 
 def test_lad_gap_above_bound_raises_degenerate(rng, monkeypatch):
-    def off_by_a_bit(*args, **kwargs):
-        res = linprog(*args, **kwargs)
-        res.eqlin.marginals = res.eqlin.marginals + 1e-6  # x no longer optimal
-        return res
+    vertex = solvers._lad_vertex
 
-    monkeypatch.setattr(solvers, "linprog", off_by_a_bit)
+    def off_by_a_bit(*args):
+        found = vertex(*args)
+        return found and (found[0] + 1e-4, found[1])  # x no longer optimal
+
+    monkeypatch.setattr(solvers, "_lad_vertex", off_by_a_bit)
     A, b = _lad_instance(rng, "720x4")
     with pytest.raises(DegenerateError, match="duality gap"):
+        l1_regression(A, b)
+
+
+@pytest.mark.parametrize("shift", ["outside-box", "off-null-space"])
+def test_lad_infeasible_dual_point_raises_degenerate(rng, monkeypatch, shift):
+    vertex = solvers._lad_vertex
+
+    def infeasible(Q, *args):
+        found = vertex(Q, *args)
+        if found is None:
+            return None
+        z, y = found
+        if shift == "outside-box":  # A^T y stays 0
+            return z, 1.5 * y
+        return z, 0.9 * y + 0.05 * Q[:, 0]  # inside the box, Q^T y != 0
+
+    monkeypatch.setattr(solvers, "_lad_vertex", infeasible)
+    A, b = _lad_instance(rng, "720x4")
+    with pytest.raises(DegenerateError, match="dual point is infeasible"):
         l1_regression(A, b)
