@@ -65,7 +65,7 @@ th, tw = 12, 10
 faces = downsample_dictionary(train, (30, 24), th, tw)
 occ = downsample_dictionary(occ_dict, (30, 24), th, tw)
 compound = build_compound([faces], [occ])
-solver = SolverConfig(epsilon=0.05, tol=3e-5, max_iters=400, max_continuation=30)
+solver = SolverConfig(epsilon=0.05, tol=3e-5, max_iters=400)
 
 
 def features(v):

@@ -170,6 +170,7 @@ def _decide(u, R, report: SolveReport, cfg) -> ClassificationOutcome:
         coefficients=coef,
         iterations=report.iterations,
         converged=report.converged,
+        status=report.status,
     )
 
 

@@ -69,7 +69,7 @@ from .imageio import (
     save_matrix,
 )
 from .maskest import MaskEstimatorConfig
-from .solvers import SolverConfig
+from .solvers import FLOOR, SolverConfig
 from .synth import CorpusPlan, OcclusionShape, SynthSpec, generate_corpus
 
 SRC_MODE = "src"
@@ -332,7 +332,8 @@ def cmd_train(args, timer) -> int:
 def run_classification(gallery, occ_dicts, probes, args):
     """Classify each (row, vector) probe over the gallery and the occlusion
     dictionaries, all at the probes' resolution and all coded together;
-    returns (row, outcome) pairs."""
+    returns (row, outcome) pairs. One stderr line counts the solves that
+    were certified, that hit the floor and that stopped uncertified."""
     cfg = from_options(
         ClassifierConfig,
         args,
@@ -344,6 +345,11 @@ def run_classification(gallery, occ_dicts, probes, args):
     else:
         R = build_compound([gallery], occ_dicts)
     outcomes = classify_many([u for _, u in probes], R, cfg)
+    certified = sum(o.converged for o in outcomes)
+    floor = sum(o.status == FLOOR for o in outcomes)
+    print(f"coded {len(outcomes)} probes: {certified} certified, {floor} at the floor "
+          f"(no code meets eps), {len(outcomes) - certified - floor} uncertified",
+          file=sys.stderr)
     return [(row, outcome) for (row, _), outcome in zip(probes, outcomes)]
 
 

@@ -217,8 +217,9 @@ class ClassificationOutcome:
     rdi_face: float = float("nan")
     rdi_occlusion: float = float("nan")
     coefficients: SparseCoefficients | None = None
-    iterations: int = 0  # inner solver iterations of the coding solve
-    converged: bool = True  # whether that solve reached its residual window
+    iterations: int = 0  # interior-point steps of the coding solve
+    converged: bool = True  # whether that solve is certified
+    status: str = "converged"  # that solve's status, a solvers.SolveReport status
 
     REJECTED = "REJECTED"
     NONE = "NONE"

@@ -51,7 +51,7 @@ from occlucode.graphcut import grid_edges, maximize_grid_mrf, mrf_energy
 from occlucode.maskest import _data_terms
 from occlucode.synth import _class_bases, _faces_for_class
 
-FAST = SolverConfig(epsilon=0.05, tol=3e-5, max_iters=400, max_continuation=30)
+FAST = SolverConfig(epsilon=0.05, tol=3e-5, max_iters=400)
 
 
 def report(capsys, line, ok):
@@ -156,8 +156,7 @@ def test_criterion_02_group_singletons_equal_l1(capsys):
         flat = BlockedDictionary(atoms, (Block("all", FACE, 0, 12),))
         split = BlockedDictionary(atoms, blocks)
         u = vec(r.standard_normal(8) / 3.0)
-        cfg = SolverConfig(epsilon=0.05, lam=1.0, q_norm=2.0,
-                           tol=1e-9, resid_lower_frac=0.999)
+        cfg = SolverConfig(epsilon=0.05, lam=1.0, q_norm=2.0, tol=1e-9)
         a = solve_l1_bpdn(u, flat, cfg)
         b = solve_group_bpdn(u, split, cfg)
         worst = max(worst, abs(a.objective - b.objective))

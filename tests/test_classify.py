@@ -247,7 +247,7 @@ def test_outcome_carries_solve_stats(rng, mode, max_iters, converged):
     spec, train, test = _clean_gallery(seed=3)
     R = build_compound([train], [occ_dictionary(rng, 120, 4)])
     u = normalize_vector(test[0][0])
-    solver = SolverConfig(epsilon=0.05, max_iters=max_iters, max_continuation=3)
+    solver = SolverConfig(epsilon=0.05, max_iters=max_iters)
     if mode == "src":
         cfg = ClassifierConfig(
             sparsity_mode="l1", solver=solver, baseline_identity_occlusion=True
@@ -266,11 +266,11 @@ def test_outcome_carries_solve_stats(rng, mode, max_iters, converged):
 
 def _many_case(rng, mode, **solver):
     """(probes, compound dictionary, config, single-probe classifier) of
-    one coding mode: structured, l1, q_norm = 1 or src. Each inner solve
-    stops by its tolerance, not at max_iters, unless ``solver`` caps it."""
+    one coding mode: structured, l1, q_norm = 1 or src. Each solve stops
+    at its gap target, not at max_iters, unless ``solver`` caps it."""
     spec, train, test = _clean_gallery(seed=3)
     us = [normalize_vector(v) for v, _ in test[:6]]
-    solver = dict(dict(tol=1e-4, max_iters=5000), **solver)
+    solver = dict(dict(tol=1e-4, max_iters=100), **solver)
     if mode == "q1":
         solver.update(q_norm=1.0, lam=0.5)
     solver = SolverConfig(epsilon=0.05, **solver)
@@ -317,7 +317,7 @@ def test_classify_many_of_one_is_classify(rng, mode):
 
 @pytest.mark.parametrize("mode", MANY_MODES)
 def test_classify_many_reports_nonconverged_columns(rng, mode):
-    us, R, cfg, single = _many_case(rng, mode, max_iters=5, max_continuation=3)
+    us, R, cfg, single = _many_case(rng, mode, max_iters=5)
     outs = classify_many(us, R, cfg)
     for u, out in zip(us, outs):
         _assert_same_outcome(out, single(u), 1e-9)

@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import hashlib
 import os
+import re
 import shutil
 
 import numpy as np
@@ -388,6 +389,38 @@ def test_classify_deterministic(corpus, occdict, tmp_path):
         assert rc == 0
         digests.append(_dir_digest(str(out)))
     assert digests[0] == digests[1]
+
+
+SOLVE_COUNTS = re.compile(r"coded (\d+) probes: (\d+) certified, (\d+) at the floor "
+                         r"\(no code meets eps\), (\d+) uncertified")
+
+
+def _solve_counts(capsys):
+    """(probes, certified, at the floor, uncertified) of each stderr line."""
+    return [tuple(map(int, found)) for found in SOLVE_COUNTS.findall(capsys.readouterr().err)]
+
+
+def test_classify_reports_solve_counts_on_stderr(corpus, occdict, samples, tmp_path, capsys):
+    common = ["--corpus", corpus, "--occdict", occdict, "--mode", "structured"]
+    capsys.readouterr()
+    assert main(["classify", "--out", str(tmp_path / "a")] + common) == 0
+    ((n, certified, floor, uncertified),) = _solve_counts(capsys)
+    with open(tmp_path / "a" / "results.csv") as f:
+        assert n == len(f.read().strip().splitlines()) - 1
+    assert certified + floor + uncertified == n and certified > 0
+    # a single Newton step certifies no solve; the floor does not depend on it
+    assert main(["classify", "--out", str(tmp_path / "b"), "--max-iters", "1"] + common) == 0
+    assert _solve_counts(capsys) == [(n, 0, floor, n - floor)]
+    # no code of the few gallery and occlusion atoms comes within 1e-6 of a
+    # noisy probe
+    assert main(["classify", "--out", str(tmp_path / "c"), "--epsilon", "1e-6"] + common) == 0
+    assert _solve_counts(capsys) == [(n, 0, n, 0)]
+    # roc codes once; a sweep once per size
+    assert main(["roc", "--out", str(tmp_path / "d")] + common) == 0
+    assert _solve_counts(capsys) == [(n, certified, floor, uncertified)]
+    assert main(["sweep", "--corpus", corpus, "--samples", samples, "--out",
+                 str(tmp_path / "e"), "--sizes", "0,2", "--iterations", "5"]) == 0
+    assert [counts[0] for counts in _solve_counts(capsys)] == [n, n]
 
 
 def test_classify_src_mode(corpus, tmp_path):

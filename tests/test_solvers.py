@@ -1,6 +1,7 @@
 """Sparse-coding solvers: l1 / group basis pursuit denoising and l1 error
 fitting. Oracle values come from independent routes (exhaustive support
-enumeration, grid scans, projected subgradient)."""
+enumeration, grid scans, projected subgradient, FISTA on the penalized
+problem, certificates recomputed from the code and the dual point)."""
 
 import itertools
 
@@ -17,13 +18,13 @@ from occlucode import (
     solve_group_bpdn,
     solve_l1_bpdn,
     solvers,
+    with_identity_block,
 )
 from occlucode.core import FACE, OCCLUSION, normalize_columns
 from occlucode.errors import DegenerateError, DimMismatchError
 from occlucode.solvers import (
     LAD_GAP_RTOL,
     block_penalty,
-    block_prox,
     l1_regression,
     lad_fit,
 )
@@ -100,7 +101,7 @@ def test_l1_support_recovery_against_oracle(rng):
     noise = rng.standard_normal(8)
     noise *= 0.01 / np.linalg.norm(noise)
     u = vec(0.7 * d.atoms[:, 2] + 0.3 * d.atoms[:, 8] + noise)
-    cfg = SolverConfig(epsilon=0.02, tol=1e-9, resid_lower_frac=0.999)
+    cfg = SolverConfig(epsilon=0.02, tol=1e-9)
     rep = solve_l1_bpdn(u, d, cfg)
     w = rep.coefficients.values
     top2 = set(np.argsort(-np.abs(w))[:2])
@@ -116,13 +117,13 @@ def test_l1_feasibility_and_monotone_trace(rng):
         u = vec(r.standard_normal(8) / 3.0)
         cfg = SolverConfig(epsilon=0.05)
         rep = solve_l1_bpdn(u, d, cfg)
-        assert rep.final_residual <= cfg.epsilon + cfg.tol
-        # the scalar inner loop, warm-started at the solution, never climbs
-        starts, weights = np.arange(12), np.ones(12)
-        mu = _mu(d.atoms, u.data, starts, weights, 0.05)
-        f = stepped_objectives(d.atoms, u.data[:, None], rep.coefficients.values[:, None],
-                               np.array([mu]), starts, weights, 40)
-        assert np.all(np.diff(f, axis=0) <= 1e-13)
+        assert rep.converged and rep.final_residual <= cfg.epsilon * (1 + 1e-6)
+        # the gap after 1, 2, ... Newton steps: every iterate is feasible, so
+        # each step shrinks it, and the last one is the certified gap
+        gaps = [solve_l1_bpdn(u, d, SolverConfig(epsilon=0.05, max_iters=k)).gap
+                for k in range(1, rep.iterations + 1)]
+        assert gaps[-1] == rep.gap <= cfg.tol
+        assert np.all(np.diff(gaps) < 0)
 
 
 def test_l1_sign_symmetry(rng):
@@ -218,7 +219,7 @@ def test_group_active_block_matches_oracle(rng):
     noise *= 0.02 / np.linalg.norm(noise)
     u_raw = d.atoms[:, 3:6] @ np.array([0.5, 0.4, 0.3]) + noise
     u = vec(u_raw)
-    cfg = SolverConfig(epsilon=0.05, lam=1.0, tol=1e-9, resid_lower_frac=0.999)
+    cfg = SolverConfig(epsilon=0.05, lam=1.0, tol=1e-9)
     rep = solve_group_bpdn(u, d, cfg)
     w = rep.coefficients.values
     norms = [np.linalg.norm(w[sl]) for sl, _ in blocks]
@@ -233,9 +234,7 @@ def test_group_equals_l1_for_single_atom_blocks(rng):
         r = np.random.default_rng(100 + seed)
         d = random_dictionary(r, 8, 10, [(f"a{i}", 1) for i in range(10)])
         u = vec(r.standard_normal(8) / 4.0)
-        cfg = SolverConfig(
-            epsilon=0.05, lam=1.0, q_norm=2.0, tol=1e-9, resid_lower_frac=0.999
-        )
+        cfg = SolverConfig(epsilon=0.05, lam=1.0, q_norm=2.0, tol=1e-9)
         rep_g = solve_group_bpdn(u, d, cfg)
         rep_l = solve_l1_bpdn(u, d, cfg)
         assert rep_g.objective == pytest.approx(rep_l.objective, abs=1e-4)
@@ -264,75 +263,32 @@ def test_config_rejects_out_of_range(field):
 
 
 # ---------------------------------------------------------------------------
-# block prox
+# block penalty
 
 
-def loop_prox(v, t, starts, weights):
-    """Reference: group shrinkage one block at a time."""
-    out = v.copy()
-    bounds = list(starts) + [v.size]
-    for b, c in enumerate(weights):
-        cols = slice(bounds[b], bounds[b + 1])
-        nrm = np.linalg.norm(v[cols])
-        if nrm <= t * c:
-            out[cols] = 0.0
-        else:
-            out[cols] = v[cols] * (1.0 - t * c / nrm)
-    return out
-
-
-def test_block_prox_matches_loop(rng):
+def test_block_penalty_matches_loop(rng):
     for _ in range(50):
         n = int(rng.integers(1, 40))
         starts = np.flatnonzero(np.r_[True, rng.random(n - 1) < 0.3])
         stops = np.append(starts[1:], n)
         weights = rng.uniform(0.2, 2.0, starts.size)
         v = rng.standard_normal(n)
-        zero = rng.integers(starts.size)  # one all-zero block
-        v[starts[zero] : stops[zero]] = 0.0
-        t = float(rng.uniform(0.05, 1.5))
-        got, got_norms = block_prox(v, t * weights, starts, stops - starts)
-        assert np.allclose(got, loop_prox(v, t, starts, weights), rtol=1e-14, atol=1e-15)
-        # the prox's block norms give the penalty of its output
-        assert weights @ got_norms == pytest.approx(
-            block_penalty(got, starts, weights), rel=1e-12, abs=1e-12)
         penalty = sum(c * np.linalg.norm(v[a:b]) for a, b, c in zip(starts, stops, weights))
         assert block_penalty(v, starts, weights) == pytest.approx(penalty, rel=1e-14)
-
-
-def test_block_prox_norm_equal_to_threshold_is_zero():
-    # ||(3, 4)|| = 5 = t * c exactly; the other block survives
-    v = np.array([3.0, 4.0, 1.0, 0.0])
-    starts = np.array([0, 2])
-    weights = np.array([2.0, 1.0])
-    got = block_prox(v, 2.5 * weights, starts, np.array([2, 2]))[0]
-    assert np.array_equal(got[:2], [0.0, 0.0])
-    assert np.array_equal(got, loop_prox(v, 2.5, starts, weights))
-
-
-def test_block_prox_singletons_soft_threshold(rng):
-    v = rng.standard_normal(30)
-    v[:3] = 0.0
-    weights = rng.uniform(0.5, 1.5, 30)
-    got, got_norms = block_prox(v, 0.4 * weights, np.arange(30), np.ones(30, int))
-    soft = np.sign(v) * np.maximum(np.abs(v) - 0.4 * weights, 0.0)
-    assert np.allclose(got, soft, rtol=1e-14, atol=1e-16)
-    assert np.allclose(got_norms, np.abs(soft), rtol=1e-14, atol=1e-16)
-    assert block_penalty(v, np.arange(30), weights) == pytest.approx(
-        np.abs(v) @ weights, rel=1e-14)
+    assert block_penalty(v, np.arange(n), np.ones(n)) == pytest.approx(np.abs(v).sum(), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
-# penalized inner solver
+# the interior point
 
 
-def penalized_instance(rng, kind):
+def instance(rng, kind):
     """(R, u, starts, weights) for a 4-atom-block partition, singleton
     blocks, and correlated atoms (a rank-3 core plus 1e-3 noise, condition
-    number ~1e4) coded in blocks."""
-    m, n = 30, 24
+    number ~1e4) coded in blocks. u is a unit vector near the span of the
+    first 8 atoms; R has full row rank, so its residual floor is 0."""
+    m, n = 20, 40
     if kind == "ill-conditioned":
-        m, n = 20, 40
         core = rng.standard_normal((m, 3)) @ rng.standard_normal((3, n))
         R = normalize_columns(core + 1e-3 * rng.standard_normal((m, n)))
     else:
@@ -341,128 +297,85 @@ def penalized_instance(rng, kind):
         starts, weights = np.arange(n), np.ones(n)
     else:
         starts, weights = np.arange(0, n, 4), rng.uniform(0.5, 1.5, n // 4)
-    u = rng.standard_normal(m)
+    u = R[:, :8] @ rng.standard_normal(8) + 0.02 * rng.standard_normal(m)
     return R, u / np.linalg.norm(u), starts, weights
 
 
-def penalized_objective(R, u, mu, w, starts, weights):
-    r = u - R @ w
-    return 0.5 * (r @ r) + mu * block_penalty(w, starts, weights)
+def blocked(R, starts):
+    """A dictionary whose blocks are the partition: weights then follow from
+    lam = 1 and q = 2, or from singleton starts."""
+    stops = np.append(starts[1:], R.shape[1])
+    return BlockedDictionary(R, tuple(Block(f"b{i}", FACE, a, b)
+                                      for i, (a, b) in enumerate(zip(starts, stops))))
+
+
+def solve_partition(R, us, starts, weights, cfg):
+    """The interior point's reports on a weighted partition, by the module's
+    own entry point for it."""
+    return solvers._solve_bpdn(list(us), blocked(R, starts), cfg, starts, weights)
 
 
 def plain_fista(R, u, mu, starts, weights, iters):
-    """Reference: FISTA (Beck & Teboulle 2009) from w = 0 with the constant
-    step 1/||R^T R||, explicit gradient, no monotone safeguard and no
-    restart; returns the final iterate."""
+    """Reference: FISTA (Beck & Teboulle 2009) on the penalized problem
+    mu * sum_b c_b ||w_b|| + 0.5 ||u - R w||^2 from w = 0, with the constant
+    step 1/||R^T R|| and block soft thresholding as the prox."""
     sizes = np.diff(starts, append=R.shape[1])
     L = np.linalg.eigvalsh(R.T @ R)[-1]
+
+    def prox(v, t):
+        norms = np.maximum(np.sqrt(np.add.reduceat(v * v, starts)), 1e-300)
+        return v * np.repeat(np.maximum(0.0, 1.0 - t * weights / norms), sizes)
+
     x = y = np.zeros(R.shape[1])
     t = 1.0
     for _ in range(iters):
-        x_new = block_prox(y - R.T @ (R @ y - u) / L, mu / L * weights, starts, sizes)[0]
+        x_new = prox(y - R.T @ (R @ y - u) / L, mu / L)
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         y = x_new + ((t - 1.0) / t_new) * (x_new - x)
         x, t = x_new, t_new
     return x
 
 
-def run_mfista(R, u, mu, starts, weights, w0, max_iters, tol):
-    sizes = np.diff(starts, append=R.shape[1])
-    step = 1.0 / np.linalg.eigvalsh(R.T @ R)[-1]
-    return solvers._mfista(R, u, w0, mu, step, starts, sizes, weights, max_iters, tol)
-
-
-def stepped_objectives(R, U, W0, mus, starts, weights, steps, tol=1e-300):
-    """The penalized objective of each column of U after 0, 1, ..., steps
-    iterations from W0: row i comes from a run with max_iters = i, by
-    _mfista for one column and _mfista_many for more. tol must not stop a
-    run early. Every run's residuals must be U - R W."""
-    n, k = W0.shape
-    sizes = np.diff(starts, append=n)
-    step = 1.0 / np.linalg.eigvalsh(R.T @ R)[-1]
-    rows = [W0]
-    for max_iters in range(1, steps + 1):
-        if k == 1:
-            x, r, it = solvers._mfista(R, U[:, 0], W0[:, 0], mus[0], step, starts, sizes,
-                                       weights, max_iters, tol)
-            W, Res, iters = x[:, None], r[:, None], [it]
-        else:
-            W, Res, iters = solvers._mfista_many(R, U, W0, mus, step, starts, sizes,
-                                                 weights, max_iters, tol)
-        assert list(iters) == [max_iters] * k
-        assert np.max(np.abs(Res - (U - R @ W))) <= 1e-10
-        rows.append(W)
-    return np.array([[penalized_objective(R, U[:, j], mus[j], W[:, j], starts, weights)
-                      for j in range(k)] for W in rows])
-
-
 KINDS = ["group", "singleton", "ill-conditioned"]
 
 
-def _mu(R, u, starts, weights, frac):
-    return frac * np.max(solvers._block_norms(R.T @ u, starts) / weights)
+@pytest.mark.parametrize("kind", KINDS)
+def test_interior_point_matches_penalized_fista(rng, kind):
+    # at the constrained optimum, R_b^T theta lies in c_b times the
+    # subdifferential of ||w_b|| and theta = (||theta|| / eps) r, so the code
+    # also minimizes the penalized problem at mu = eps / ||theta||
+    R, u, starts, weights = instance(rng, kind)
+    eps = 0.2
+    (rep,) = solve_partition(R, [u], starts, weights, SolverConfig(epsilon=eps, tol=1e-10))
+    assert rep.converged
+    mu = eps / np.linalg.norm(rep.dual)
+
+    def penalized(w):
+        r = u - R @ w
+        return 0.5 * (r @ r) + mu * block_penalty(w, starts, weights)
+
+    ref = penalized(plain_fista(R, u, mu, starts, weights, 20000))
+    assert abs(penalized(rep.coefficients.values) - ref) <= 1e-8 * ref
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_mfista_carried_residual_and_monotone_trace(rng, kind):
-    R, u, starts, weights = penalized_instance(rng, kind)
-    (m, n), fracs = R.shape, (0.3, 0.05, 0.01)
-    U = rng.standard_normal((m, len(fracs)))
+@pytest.mark.parametrize("max_iters", [3, 100])
+def test_interior_point_batch_matches_single(rng, kind, max_iters):
+    R, u, starts, weights = instance(rng, kind)
+    U = rng.standard_normal((R.shape[0], 5))
     U[:, 0] = u
-    U /= np.linalg.norm(U, axis=0)
-    W0 = 0.1 * rng.standard_normal((n, len(fracs)))  # warm starts
-    mus = np.array([_mu(R, U[:, j], starts, weights, frac) for j, frac in enumerate(fracs)])
-    for j in range(len(fracs)):  # the scalar loop on each column
-        f = stepped_objectives(R, U[:, j:j + 1], W0[:, j:j + 1], mus[j:j + 1],
-                               starts, weights, 60)
-        assert np.all(np.diff(f, axis=0) <= 1e-13)  # monotone acceptance
-    f = stepped_objectives(R, U, W0, mus, starts, weights, 60)  # the lockstep loop
-    assert np.all(np.diff(f, axis=0) <= 1e-13)
-
-
-@pytest.mark.parametrize("kind", KINDS)
-def test_mfista_reaches_plain_fista_objective(rng, kind):
-    R, u, starts, weights = penalized_instance(rng, kind)
-    mu = _mu(R, u, starts, weights, 0.01)
-    ref = penalized_objective(
-        R, u, mu, plain_fista(R, u, mu, starts, weights, 30000), starts, weights)
-    x, _, it = run_mfista(R, u, mu, starts, weights, np.zeros(R.shape[1]), 50000, 1e-12)
-    assert it < 50000  # stopped by the tolerance, not the cap
-    assert abs(penalized_objective(R, u, mu, x, starts, weights) - ref) <= 1e-8 * ref
-
-
-@pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("max_iters", [7, 3000])
-def test_mfista_many_matches_mfista_per_column(rng, kind, max_iters):
-    R, u, starts, weights = penalized_instance(rng, kind)
-    (m, n), k = R.shape, 5
-    U = rng.standard_normal((m, k))
-    U[:, 0] = u
-    U /= np.linalg.norm(U, axis=0)
-    W0 = 0.1 * rng.standard_normal((n, k))  # warm starts
-    mus = np.array([_mu(R, U[:, j], starts, weights, frac)
-                    for j, frac in enumerate((0.3, 0.1, 0.05, 0.02, 0.01))])
-    sizes = np.diff(starts, append=n)
-    step = 1.0 / np.linalg.eigvalsh(R.T @ R)[-1]
-    tol = 1e-6
-    W, Res, iters = solvers._mfista_many(
-        R, U, W0, mus, step, starts, sizes, weights, max_iters, tol)
-    for j in range(k):
-        x, r, it = run_mfista(
-            R, U[:, j].copy(), mus[j], starts, weights, W0[:, j].copy(), max_iters, tol)
-        assert iters[j] == it
-        assert np.max(np.abs(W[:, j] - x)) <= 1e-12
-        assert np.max(np.abs(Res[:, j] - r)) <= 1e-12
-    if max_iters == 7:
-        assert set(iters) == {7}
-    else:
-        assert len(set(iters)) == k  # every column stops at its own iteration
-        assert max(iters) < max_iters
-        # some iteration accepts in one column and rejects (keeps its
-        # iterate, so its objective) in another
-        f = stepped_objectives(R, U, W0, mus, starts, weights, min(iters), tol)
-        steps = np.diff(f, axis=0)
-        assert np.any(np.any(steps == 0, axis=1) & np.any(steps < 0, axis=1))
+    U *= rng.uniform(0.5, 2.0, 5) / np.linalg.norm(U, axis=0)
+    cfg = SolverConfig(epsilon=0.3, max_iters=max_iters)
+    reports = solve_partition(R, U.T, starts, weights, cfg)
+    for j, rep in enumerate(reports):
+        (ref,) = solve_partition(R, U[:, j:j + 1].T, starts, weights, cfg)
+        assert (rep.iterations, rep.status) == (ref.iterations, ref.status)
+        assert np.max(np.abs(rep.coefficients.values - ref.coefficients.values)) <= 1e-12
+        assert np.max(np.abs(rep.dual - ref.dual)) <= 1e-12
+    statuses = {rep.status for rep in reports}
+    assert statuses == ({solvers.MAX_ITERS} if max_iters == 3 else {solvers.CONVERGED})
+    if max_iters == 100:  # every vector stops at its own step
+        assert len({rep.iterations for rep in reports}) > 1
 
 
 @pytest.mark.parametrize("solve_many, solve", [
@@ -501,89 +414,104 @@ def test_zero_code_probe_outside_the_bound_is_not_converged(solve_many, solve):
     assert first.converged and first.iterations > 0 and first.final_residual <= 0.05
     assert (second.converged, second.iterations) == (False, 0)
     assert second.final_residual == pytest.approx(1.0)
-    assert rep.gap == second.gap == 0.0
+    # no code meets eps: the least-squares code, at the floor, uncertified
+    assert rep.status == second.status == solvers.FLOOR
+    assert np.isnan(rep.gap) and np.isnan(second.gap)
 
 
-def penalized_gap(R, u, w, mu, block_cols, weights):
-    """The relative duality gap of mu * sum_b c_b ||w_b|| + 0.5 ||u - R w||^2,
-    with the residual scaled into the dual ball as the dual point."""
-    r = u - R @ w
-    primal = mu * sum(c * np.linalg.norm(w[cols]) for cols, c in zip(block_cols, weights))
-    primal += 0.5 * (r @ r)
-    dual_norm = max(np.linalg.norm(R[:, cols].T @ r) / c for cols, c in zip(block_cols, weights))
-    theta = r * min(1.0, mu / dual_norm)
-    dual = 0.5 * (u @ u) - 0.5 * ((u - theta) @ (u - theta))
-    return (primal - dual) / primal
+@pytest.mark.parametrize("solve_many", [solvers.solve_group_bpdn_many,
+                                        solvers.solve_l1_bpdn_many])
+def test_floor_probe_gets_least_squares_code(rng, solve_many):
+    # 30 x 12: a generic probe is at distance ~0.8 from the range of R
+    d = random_dictionary(rng, 30, 12, [("a", 4), ("b", 4), ("c", 4)])
+    inside = vec(d.atoms @ rng.standard_normal(12) + 0.001 * rng.standard_normal(30))
+    outside = vec(rng.standard_normal(30))
+    cfg = SolverConfig(epsilon=0.05)
+    rep_in, rep_out = solve_many([inside, outside], d, cfg)
+    assert rep_in.converged and rep_in.floor < cfg.epsilon
+    w_ls = np.linalg.lstsq(d.atoms, outside.data, rcond=None)[0]
+    floor = np.linalg.norm(outside.data - d.atoms @ w_ls)
+    assert floor > cfg.epsilon
+    assert (rep_out.status, rep_out.converged, rep_out.iterations) == (solvers.FLOOR, False, 0)
+    assert np.max(np.abs(rep_out.coefficients.values - w_ls)) <= 1e-9
+    assert rep_out.floor == pytest.approx(floor, rel=1e-9)
+    assert rep_out.final_residual == pytest.approx(floor, rel=1e-9)
 
 
-@pytest.mark.parametrize("mode", ["group", "q1", "l1"])
-@pytest.mark.parametrize("max_continuation", [1, 3, 60])
+def certificate(R, u, rep, block_cols, weights, eps):
+    """A report's residual, the largest ||R_b^T theta|| / c_b of its dual
+    point theta, and the relative gap between the objective of its code and
+    the dual bound u^T theta - eps ||theta||, from the code and theta alone."""
+    w, theta = rep.coefficients.values, rep.dual
+    primal = sum(c * np.linalg.norm(w[cols]) for cols, c in zip(block_cols, weights))
+    bound = u @ theta - eps * np.linalg.norm(theta)
+    dual = max(np.linalg.norm(R[:, cols].T @ theta) / c for cols, c in zip(block_cols, weights))
+    return np.linalg.norm(u - R @ w), dual, (primal - bound) / primal
+
+
+@pytest.mark.parametrize("mode", ["group", "q1", "l1", "src"])
+@pytest.mark.parametrize("max_iters", [1, 3, 60])
 @pytest.mark.parametrize("probes", [1, 3])
-def test_report_gap_recomputed_from_coefficients(rng, monkeypatch, mode, max_continuation,
-                                                 probes):
-    # two face blocks of weight 1 and an occlusion block of weight lam
+def test_report_gap_recomputed_from_coefficients(rng, mode, max_iters, probes):
+    # two face blocks of weight 1 and an occlusion block of weight lam; src
+    # codes the face atoms and an identity block in l1
     R = normalize_columns(rng.standard_normal((30, 24)))
-    d = BlockedDictionary(R, (Block("a", FACE, 0, 8), Block("b", FACE, 8, 16),
-                              Block("occ", OCCLUSION, 16, 24)))
-    lam = 0.5
-    if mode == "group":
-        block_cols, weights = [range(0, 8), range(8, 16), range(16, 24)], [1.0, 1.0, lam]
+    lam, eps, tol = 0.5, 0.05, 1e-6
+    if mode == "src":
+        d = with_identity_block(BlockedDictionary(R, (Block("a", FACE, 0, 12),
+                                                      Block("b", FACE, 12, 24))))
+        R, block_cols, weights = d.atoms, [[j] for j in range(54)], [1.0] * 54
     else:
-        block_cols = [[j] for j in range(24)]
-        weights = [1.0] * 16 + [lam if mode == "q1" else 1.0] * 8
-    cfg = SolverConfig(epsilon=0.05, lam=lam, q_norm=1.0 if mode == "q1" else 2.0,
-                       max_iters=300, max_continuation=max_continuation)
-    us = [vec(R[:, :8] @ rng.standard_normal(8) + 0.02 * rng.standard_normal(30))
-          for _ in range(probes)]
-    # record the mu at which each solution was solved, by its coefficients
-    solved = []
-    update = solvers._Continuation.update
-
-    def recording(self, w, *args):
-        solved.append((self.mu, w.copy()))
-        return update(self, w, *args)
-
-    monkeypatch.setattr(solvers._Continuation, "update", recording)
-    solve_many = solvers.solve_l1_bpdn_many if mode == "l1" else solvers.solve_group_bpdn_many
-    for u, rep in zip(us, solve_many(us, d, cfg)):
-        w = rep.coefficients.values
-        mus = [mu for mu, w_solved in solved if np.array_equal(w_solved, w)]
-        assert len(mus) == 1
-        expect = penalized_gap(R, u.data, w, mus[0], block_cols, weights)
-        assert rep.gap == pytest.approx(expect, rel=0, abs=1e-10)
+        d = BlockedDictionary(R, (Block("a", FACE, 0, 8), Block("b", FACE, 8, 16),
+                                  Block("occ", OCCLUSION, 16, 24)))
+        if mode == "group":
+            block_cols, weights = [range(0, 8), range(8, 16), range(16, 24)], [1.0, 1.0, lam]
+        else:
+            block_cols = [[j] for j in range(24)]
+            weights = [1.0] * 16 + [lam if mode == "q1" else 1.0] * 8
+    cfg = SolverConfig(epsilon=eps, lam=lam, q_norm=1.0 if mode == "q1" else 2.0,
+                       max_iters=max_iters, tol=tol)
+    us = [vec(R[:, :8] @ rng.standard_normal(8) + 0.005 * rng.standard_normal(30))
+          for _ in range(probes)]  # residual floors ~0.01, below eps
+    if mode in ("l1", "src"):
+        reports = solvers.solve_l1_bpdn_many(us, d, cfg)
+    else:
+        reports = solvers.solve_group_bpdn_many(us, d, cfg)
+    for u, rep in zip(us, reports):
+        resid, dual, gap = certificate(R, u.data, rep, block_cols, weights, eps)
+        # every iterate is primal and dual feasible, certified or not
+        assert resid <= eps * (1 + 1e-6)
+        assert resid == pytest.approx(rep.final_residual, rel=1e-12)
+        assert dual <= 1 + 1e-12
+        assert rep.gap == pytest.approx(gap, rel=0, abs=1e-10)
         assert rep.gap >= -1e-12  # weak duality
+        if max_iters == 60:
+            assert rep.converged and rep.status == solvers.CONVERGED and gap <= tol
+        else:
+            assert not rep.converged and rep.status == solvers.MAX_ITERS
+            assert rep.iterations == max_iters and gap > tol
 
 
-def run_continuation(residuals, eps, frac=0.9):
-    """Drive one probe's mu search with the given residual norm at each
-    step (the last one repeats) until it ends; returns its report."""
-    n = 4
-    c = solvers._Continuation(np.ones(6), 1.0, n)
-    step, done = 0, False
-    while not done:
-        r = np.zeros(6)
-        r[0] = residuals[min(step, len(residuals) - 1)]
-        done = c.update(np.full(n, float(step)), r, 3, frac * eps, eps)
-        step += 1
-    return c.report(np.eye(6)[:, :n], np.arange(n), np.ones(n)), step
-
-
-def test_continuation_reports_convergence_only_within_eps():
-    eps = 0.05
-    # every step's residual lies just above eps, so none meets the bound
-    rep, steps = run_continuation([eps + 1.5e-5], eps)
-    assert not rep.converged
-    assert rep.final_residual == pytest.approx(eps + 1.5e-5)
-    assert rep.iterations == 3 * steps
-    assert np.array_equal(rep.coefficients.values, np.full(4, steps - 1.0))
-    # a step inside [frac * eps, eps] ends the search, converged
-    rep, steps = run_continuation([0.1, 0.049], eps)
-    assert (rep.converged, steps, rep.final_residual) == (True, 2, 0.049)
-    # below the window the search goes on; the step at the largest mu that
-    # met eps is the one reported, although later steps miss it
-    rep, steps = run_continuation([0.01, 0.02, 0.1], eps)
-    assert rep.converged and steps > 3
-    assert (rep.final_residual, rep.coefficients.values[0]) == (0.02, 1.0)
+def test_reports_convergence_only_when_certified(rng, monkeypatch):
+    d = random_dictionary(rng, 20, 40, [(f"b{i}", 4) for i in range(10)])
+    u = vec(d.atoms[:, :4] @ rng.standard_normal(4) + 0.02 * rng.standard_normal(20))
+    cfg = SolverConfig(epsilon=0.05, lam=1.0)
+    rep = solve_group_bpdn(u, d, cfg)
+    assert (rep.status, rep.converged) == (solvers.CONVERGED, True)
+    assert rep.gap <= cfg.tol and rep.final_residual <= cfg.epsilon * (1 + 1e-6)
+    # out of Newton steps: a feasible code above the gap target
+    capped = solve_group_bpdn(u, d, SolverConfig(epsilon=0.05, lam=1.0, max_iters=2))
+    assert (capped.status, capped.converged, capped.iterations) == (solvers.MAX_ITERS, False, 2)
+    assert capped.gap > cfg.tol and capped.final_residual <= cfg.epsilon
+    # a Newton matrix without a factor stalls the solve at the code it has
+    monkeypatch.setattr(solvers, "_newton_factors", lambda R, sc, starts: (
+        np.broadcast_to(np.eye(R.shape[0] + 1), (sc.eta.shape[1], R.shape[0] + 1, R.shape[0] + 1)),
+        np.ones(sc.eta.shape[1], dtype=bool)))
+    stalled = solve_group_bpdn(u, d, cfg)
+    assert (stalled.status, stalled.converged, stalled.iterations) == (solvers.STALLED, False, 0)
+    w_ls = np.linalg.lstsq(d.atoms, u.data, rcond=None)[0]
+    assert np.max(np.abs(stalled.coefficients.values - w_ls)) <= 1e-9
+    assert stalled.final_residual <= cfg.epsilon
 
 
 # ---------------------------------------------------------------------------

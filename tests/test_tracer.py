@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import os
 import re
+import sys
 
 import occlucode
 
@@ -47,3 +48,28 @@ def test_workloads_call_only_existing_public_names():
     assert names  # the workloads reach the library through ``oc.``
     missing = sorted(n for n in names if not hasattr(occlucode, n))
     assert not missing, f"perfbench/workloads.py calls missing names {missing}"
+
+
+def test_traced_recognize_item_claims_no_convergence_above_eps(tmp_path, monkeypatch):
+    # the benchmark's fixed solver settings on its first recognize probe
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    workload = workloads.Recognize(str(tmp_path))
+    state = workload.setup(101)
+    (_, run), *_ = workload.items(state)
+    t = load_tracer().Tracer()
+    t.install()
+    try:
+        outcomes = run()
+    finally:
+        t.uninstall()
+    assert set(outcomes) == {"structured", "l1", "src"}
+    layers = t.aggregate()
+    for span in ("solvers.solve_group_bpdn", "solvers.solve_l1_bpdn"):
+        assert layers[span]["calls"] >= 1
+        assert layers[span]["converged_above_eps"] == 0
+    assert layers["solvers.solve_group_bpdn"]["nonconverged"] == 0
+    assert layers["solvers.solve_l1_bpdn"]["nonconverged"] == 0
