@@ -112,32 +112,30 @@ def _label(residuals, theta):
     return (ClassificationOutcome.REJECTED if index > theta else label), index
 
 
+def _prepare(us, R):
+    """The unit-norm vectors of us, once R is known to have face blocks."""
+    us = [normalize_vector(u) for u in us]
+    if not R.face_blocks:
+        raise DimMismatchError("compound dictionary has no face blocks")
+    return us
+
+
 def classify(
     u: ImageVector, R: BlockedDictionary, cfg: ClassifierConfig
 ) -> ClassificationOutcome:
     """Code u over the compound dictionary and label face and occlusion."""
-    u = normalize_vector(u)
-    if not R.face_blocks:
-        raise DimMismatchError("compound dictionary has no face blocks")
-    if cfg.sparsity_mode == STRUCTURED:
-        report = solve_group_bpdn(u, R, cfg.solver)
-    else:
-        report = solve_l1_bpdn(u, R, cfg.solver)
-    return _decide(u, R, report, cfg)
+    [u] = _prepare([u], R)
+    solve = solve_group_bpdn if cfg.sparsity_mode == STRUCTURED else solve_l1_bpdn
+    return _decide(u, R, solve(u, R, cfg.solver), cfg)
 
 
 def classify_many(
     us: list[ImageVector], R: BlockedDictionary, cfg: ClassifierConfig
 ) -> list[ClassificationOutcome]:
     """classify of each of us, with all of them coded together over R."""
-    us = [normalize_vector(u) for u in us]
-    if not R.face_blocks:
-        raise DimMismatchError("compound dictionary has no face blocks")
-    if cfg.sparsity_mode == STRUCTURED:
-        reports = solve_group_bpdn_many(us, R, cfg.solver)
-    else:
-        reports = solve_l1_bpdn_many(us, R, cfg.solver)
-    return [_decide(u, R, report, cfg) for u, report in zip(us, reports)]
+    us = _prepare(us, R)
+    solve = solve_group_bpdn_many if cfg.sparsity_mode == STRUCTURED else solve_l1_bpdn_many
+    return [_decide(u, R, report, cfg) for u, report in zip(us, solve(us, R, cfg.solver))]
 
 
 def _decide(u, R, report: SolveReport, cfg) -> ClassificationOutcome:

@@ -6,11 +6,11 @@ columns of a dictionary R:
     min sum_b c_b ||w_b||_2    s.t. ||u - R w||_2 <= eps
 
 Group coding uses the dictionary's blocks, with weight c_b = 1 for face
-blocks and lambda for occlusion blocks. Plain l1 (all weights 1) and the
-weighted l1 of q_norm = 1 are its singleton-block cases. The problem is a
-second-order cone program: minimize sum_b c_b t_b with each block's
-(t_b, w_b) and the residual's (eps, u - R w) in a second-order cone. Its
-dual is
+blocks and lambda for occlusion blocks; q_norm = 1 spreads those weights
+over singleton blocks, and plain l1 is that case at lambda = 1. The
+problem is a second-order cone program: minimize sum_b c_b t_b with each
+block's (t_b, w_b) and the residual's (eps, u - R w) in a second-order
+cone. Its dual is
 
     max u^T theta - eps ||theta||    s.t. ||R_b^T theta|| <= c_b.
 
@@ -23,10 +23,10 @@ certificate: the code meets eps, theta meets the dual constraints, and the
 relative gap between their objectives is at most tol when the solve
 converges. A Newton step costs one Cholesky factorization of an
 (m+1) x (m+1) matrix per vector. Vectors coded against one dictionary move
-together as stacked arrays, and a vector stops moving once it is done. No
-code has a residual below the floor dist(u, range R); a vector whose floor
-reaches eps gets its least-squares code, reported as not converged with
-status FLOOR.
+together as stacked arrays; a vector that is done keeps its column and
+takes zero steps. No code has a residual below the floor dist(u, range R);
+a vector whose floor reaches eps gets its least-squares code, reported as
+not converged with status FLOOR.
 
 A second solver performs l1 error fitting (least absolute deviations),
 used by the occlusion-mask estimator: min_x ||b - A x||_1 and its dual LP,
@@ -35,14 +35,15 @@ solved on the range of A by a numpy Mehrotra interior point (the
 Frisch-Newton method of Portnoy & Koenker 1997). Near the optimum it moves
 to the optimal vertex: an exact fit on as many independent rows as the
 rank of A, with the dual point taken from the residual signs. The fit
-returned is the least-norm x of that vertex. The dual objective bounds the
+returned is the least-norm x of that vertex, or of the last iterate when
+the Newton matrix loses its factor first. The dual objective bounds the
 fit from below, so every fit carries its duality gap, which must vanish,
 and a dual point that must lie in the box with A^T y = 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import linalg
@@ -58,11 +59,7 @@ class SolverConfig:
     q_norm: float = 2.0  # within-group norm, 1 or 2
     max_iters: int = 100  # cap on interior-point (Newton) steps per solve
     tol: float = 1e-6  # relative duality gap that certifies a solve
-    # The next two steered the search over mu of the former penalized coder
-    # and are unused. They stay accepted, and validated, because the
-    # benchmark's fixed settings (perfbench's SOLVER) pass max_continuation;
-    # ROADMAP item 1 removes them together with those settings.
-    resid_lower_frac: float = 0.9
+    # unused; accepted because perfbench's SOLVER passes it (ROADMAP item 1)
     max_continuation: int = 60
 
     def __post_init__(self):
@@ -74,10 +71,6 @@ class SolverConfig:
             raise ValueError("q_norm must be 1 or 2")
         if self.max_iters < 1 or self.tol <= 0:
             raise ValueError("max_iters >= 1 and tol > 0 required")
-        if self.max_continuation < 1:
-            raise ValueError("max_continuation must be >= 1")
-        if not 0.0 <= self.resid_lower_frac <= 1.0:
-            raise ValueError("resid_lower_frac must lie in [0, 1]")
 
 
 # the status of a solve: certified; no code meets eps; out of Newton steps;
@@ -222,50 +215,39 @@ def _interior_point(R, U, W, starts, weights, eps, tol, max_iters):
     K = W_r^2 + [0 + R E R^T], E_b = eta_b^2 (I + 2 wb_b wb_b^T) the block
     part of the block cone's W^2.
 
-    Returns (W, Theta, steps, gaps, statuses), a column or entry per
-    vector."""
+    A vector is frozen, and takes zero steps, once its gap certifies it or
+    its scaling, Newton matrix or step breaks down; the solve ends when
+    every vector is frozen or after max_iters steps. Returns (W, Theta,
+    steps, gaps, statuses), a column or entry per vector."""
     m, n = R.shape
     nb, k = len(starts), U.shape[1]
     cones = _Cones(np.append(starts, n), n + m)
     sizes = cones.sizes[:nb]
     c = weights[:, None]
-    out_w, out_theta = np.empty((n, k)), np.empty((m, k))
-    out_steps, out_gaps, out_status = np.zeros(k, dtype=int), np.empty(k), [None] * k
-    live = np.arange(k)  # the original index of each moving vector
+    zero, zeros = np.zeros((1, k)), np.zeros((nb, k))
     # the iterates are the cones' points; each step updates the slack u - R w
     # and the dual parts R_b^T y by the products with R that it computes
     s0 = np.concatenate((np.sqrt(np.add.reduceat(W * W, starts, axis=0)) + 1.0,
                          np.full((1, k), eps)))
     s1 = np.concatenate((W, U - _each(R, W)))
     z0, z1 = np.concatenate((np.repeat(c, k, axis=1), np.ones((1, k)))), np.zeros((n + m, k))
-    steps, stalled = np.zeros(k, dtype=int), np.zeros(k, dtype=bool)
+    steps, frozen = np.zeros(k, dtype=int), np.zeros(k, dtype=bool)
     for step in range(max_iters + 1):
         W, r, y = s1[:n], s1[n:], z1[n:]
         objective = _col_sum(c * np.sqrt(np.add.reduceat(W * W, starts, axis=0)))
         bound = -_col_sum(U * y) - eps * np.sqrt(_col_sum(y * y))
         gap = (objective - bound) / objective
         converged = (gap <= tol) & (_col_sum(r * r) <= eps * eps)
-        done = converged | stalled | (step == max_iters)
-        if done.any():
-            out = live[done]
-            out_w[:, out], out_theta[:, out] = W[:, done], -y[:, done]
-            out_steps[out], out_gaps[out] = steps[done], gap[done]
-            for j, ok, bad in zip(out, converged[done], stalled[done]):
-                out_status[j] = CONVERGED if ok else STALLED if bad else MAX_ITERS
-            if done.all():
-                break
-            keep = ~done
-            live, steps = live[keep], steps[keep]
-            U, s0, s1, z0, z1 = (a[:, keep] for a in (U, s0, s1, z0, z1))
-        kl = len(live)
-        zero, zeros = np.zeros((1, kl)), np.zeros((nb, kl))
+        frozen |= converged
+        if frozen.all() or step == max_iters:
+            break
         sc = _Scaling(cones, s0, s1, z0, z1)
-        L, stalled = _newton_factors(R, sc, starts)
+        L, frozen = _newton_factors(R, sc, starts, frozen)
         eta2, w1 = sc.eta[:nb] ** 2, sc.w1[:n]
 
-        def solve(rhs):
-            return np.column_stack([linalg.lapack.dpotrs(Lj, bj, lower=1)[0]
-                                    for Lj, bj in zip(L, rhs.T)])
+        def solve(rhs):  # a frozen vector's step is never taken
+            return np.column_stack([bj if stop else linalg.lapack.dpotrs(Lj, bj, lower=1)[0]
+                                    for Lj, bj, stop in zip(L, rhs.T, frozen)])
 
         def newton(q0, q1):
             """The step (ds, dz) for the scaled complementarity target q, and
@@ -289,22 +271,24 @@ def _interior_point(R, U, W, starts, weights, eps, tol, max_iters):
         q0, q1 = sc.divide(sigma * mu - p0, -p1)
         ds, dz, ds_scaled, dz_scaled = newton(q0 - sc.l0, q1 - sc.l1)
         reach = sc.reach(ds_scaled, dz_scaled)
-        stalled |= ~np.isfinite(reach)
+        frozen |= ~np.isfinite(reach)
         alpha = _CONE_STEP / np.maximum(reach, _CONE_STEP)
 
         def advance(x, dx):
-            return x + np.where(stalled, 0.0, alpha * dx)
+            return x + np.where(frozen, 0.0, alpha * dx)
 
         s0, s1 = advance(s0, ds[0]), advance(s1, ds[1])
         z0, z1 = advance(z0, dz[0]), advance(z1, dz[1])
-        steps += ~stalled
-    return out_w, out_theta, out_steps, out_gaps, out_status
+        steps += ~frozen
+    status = [CONVERGED if ok else STALLED if stop else MAX_ITERS
+              for ok, stop in zip(converged, frozen)]
+    return W, -y, steps, gap, status
 
 
-def _newton_factors(R, sc, starts):
+def _newton_factors(R, sc, starts, frozen):
     """The lower Cholesky factor of each vector's K = W_r^2 + [0 + R E R^T],
-    and the mask of the vectors that have none: the scaling is not finite
-    or K is not positive definite. Their factor is the identity."""
+    and the mask of the vectors that have none: those frozen, and those
+    whose scaling is not finite or whose K is not positive definite."""
     m, n = R.shape
     nb = len(starts)
     eta, w1 = sc.eta[:nb].repeat(np.diff(starts, append=n), axis=0), sc.w1[:n]
@@ -312,12 +296,9 @@ def _newton_factors(R, sc, starts):
         eta = eta * np.sqrt(1.0 + 2.0 * w1 * w1)
     wr, er2 = np.concatenate((sc.w0[nb:], sc.w1[n:])).T, sc.eta[nb] ** 2  # residual cone
     signs = np.r_[-1.0, np.ones(m)]
-    failed = ~np.isfinite(sc.eta.sum(axis=0) + sc.w0.sum(axis=0) + sc.w1.sum(axis=0))
+    failed = frozen | ~np.isfinite(sc.eta.sum(axis=0) + sc.w0.sum(axis=0) + sc.w1.sum(axis=0))
     L = np.empty((len(failed), m + 1, m + 1))
-    for j, bad in enumerate(failed):
-        if bad:
-            L[j] = np.eye(m + 1)
-            continue
+    for j in np.flatnonzero(~failed):
         A = R * eta[:, j]
         K_low = A @ A.T
         if nb < n:
@@ -363,25 +344,17 @@ def _solve_bpdn(us, dictionary, cfg, starts, weights):
     ]
 
 
-def _check_dims(us, dictionary):
-    for u in us:
-        if u.m != dictionary.m:
-            raise DimMismatchError(f"u has m={u.m}, dictionary has m={dictionary.m}")
-
-
 def solve_l1_bpdn_many(
     us: list[ImageVector], dictionary: BlockedDictionary, cfg: SolverConfig
 ) -> list[SolveReport]:
     """solve_l1_bpdn of each of us, all coded together."""
-    _check_dims(us, dictionary)
-    n = dictionary.n
-    return _solve_bpdn([u.data for u in us], dictionary, cfg, np.arange(n), np.ones(n))
+    return solve_group_bpdn_many(us, dictionary, replace(cfg, lam=1.0, q_norm=1.0))
 
 
 def solve_l1_bpdn(
     u: ImageVector, dictionary: BlockedDictionary, cfg: SolverConfig
 ) -> SolveReport:
-    """min ||w||_1 s.t. ||u - R w||_2 <= eps: singleton blocks of weight 1."""
+    """min ||w||_1 s.t. ||u - R w||_2 <= eps: the group coder at lambda = 1, q = 1."""
     return solve_l1_bpdn_many([u], dictionary, cfg)[0]
 
 
@@ -389,7 +362,9 @@ def solve_group_bpdn_many(
     us: list[ImageVector], dictionary: BlockedDictionary, cfg: SolverConfig
 ) -> list[SolveReport]:
     """solve_group_bpdn of each of us, all coded together."""
-    _check_dims(us, dictionary)
+    for u in us:
+        if u.m != dictionary.m:
+            raise DimMismatchError(f"u has m={u.m}, dictionary has m={dictionary.m}")
     if not dictionary.blocks:
         raise DimMismatchError("dictionary has no blocks")
     lam = cfg.lam if cfg.lam is not None else default_group_weight(dictionary)
@@ -472,8 +447,10 @@ def _lad_dual(Q, b):
     """max b^T y  s.t.  Q^T y = 0, -1 <= y <= 1, for Q with near-orthonormal
     columns, by Mehrotra predictor-corrector steps (the Frisch-Newton method
     of Portnoy & Koenker 1997). Returns the optimal vertex (z, y), z
-    minimizing ||b - Q z||_1; raises DegenerateError when none is found
-    within _LAD_MAX_STEPS steps or the steps break down.
+    minimizing ||b - Q z||_1, or the last iterate when the Newton matrix
+    loses its Cholesky factor, which happens as the iterates close in on
+    the optimum; raises DegenerateError when neither happens within
+    _LAD_MAX_STEPS steps.
 
     The iterates are y, its box slacks s = 1 - y and t = 1 + y, carried
     as variables so that they never cancel to 0, and the primal z with
@@ -496,8 +473,8 @@ def _lad_dual(Q, b):
         d = 1.0 / (w / s + v / t)
         try:
             factor = linalg.cho_factor((Q * d[:, None]).T @ Q, check_finite=False)
-        except np.linalg.LinAlgError:  # the steps broke down short of a vertex
-            break
+        except np.linalg.LinAlgError:  # short of a vertex: lad_fit certifies the iterate
+            return z, y
         rd, rp = r - w + v, -(Q.T @ y)  # rounding drift off feasibility
 
         def direction(rws, rvt):
@@ -531,8 +508,9 @@ def lad_fit(A: np.ndarray, b: np.ndarray) -> LadFit:
     value below 1e-6 of the largest count as null space. The minimizers
     differ by null-space vectors of A when A has lower rank than
     columns, as every labeled basis of the synthetic gallery does; x is the
-    one of least norm. Raises DegenerateError when no optimal vertex is
-    found or the certificate fails: y must lie in the box with
+    one of least norm. Raises DegenerateError when the interior point ends
+    at neither a vertex nor an iterate whose Newton matrix lost its factor,
+    or when the certificate fails: y must lie in the box with
     |A^T y| <= 1e-9 max(1, max|A|), and the duality gap must not exceed
     LAD_GAP_RTOL relative to the fit."""
     m = A.shape[0]

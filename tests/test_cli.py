@@ -22,6 +22,7 @@ from occlucode import (
     SolverConfig,
     SynthSpec,
     build_sample_set,
+    collect_soc,
     collect_ssrc,
     estimate_mask,
     generate_corpus,
@@ -272,6 +273,24 @@ def test_collect_ssrc_matches_module(corpus, tmp_path, labeled):
     assert np.array_equal(mat, expect.samples)
 
 
+def test_collect_tau_schedule_option(corpus, tmp_path, capsys):
+    # the schedule reaches the mask estimator; a value that is no number
+    # list is a usage error and a schedule that does not decrease a data error
+    out = tmp_path / "taus"
+    rc = main(["collect", "--corpus", corpus, "--out", str(out), "--strategy", "soc",
+               "--tau-schedule", "0.005,0.004"] + MASK_FLAGS)
+    assert rc == 0
+    mat, _ = load_matrix(str(out / "samples_band"))
+    gallery, images = _collect_images(corpus)
+    cfg = MaskEstimatorConfig(beta=1.5, tau_schedule=(0.005, 0.004))
+    patterns = [collect_soc(u, gallery, row["face_label"], cfg) for row, u in images]
+    assert np.array_equal(mat, build_sample_set(patterns, "band", "soc", True).samples)
+    base = ["collect", "--corpus", corpus, "--strategy", "soc", "--tau-schedule"]
+    assert main(base + ["abc", "--out", str(tmp_path / "abc")]) == 1
+    assert main(base + ["0.004,0.005", "--out", str(tmp_path / "up")]) == 2
+    assert "strictly decreasing" in capsys.readouterr().err
+
+
 def test_collect_rejects_a_zero_sample(corpus, tmp_path):
     # a collect image replaced by a gallery image of its class lies in the
     # span of the class's gallery block: its ssrc residual is zero
@@ -310,6 +329,7 @@ def test_collect_debug_dumps_each_outer_iteration(corpus, samples, tmp_path):
 
 def test_collect_rejects_images_whose_lad_fit_fails(corpus, tmp_path, monkeypatch):
     monkeypatch.setattr(solvers, "_lad_vertex", lambda *args: None)
+    monkeypatch.setattr(solvers, "_LAD_MAX_STEPS", 3)
     out = tmp_path / "collect"
     rc = main(["collect", "--corpus", corpus, "--out", str(out)] + MASK_FLAGS)
     assert rc == 0

@@ -1,8 +1,14 @@
-"""Domain types, vectorization, downsampling, block bookkeeping, residuals."""
+"""Domain types, vectorization, downsampling, block bookkeeping, residuals,
+and the package's runtime dependencies."""
+
+import ast
+import pathlib
+import sys
 
 import numpy as np
 import pytest
 
+import occlucode
 from occlucode import (
     Block,
     BlockedDictionary,
@@ -232,3 +238,20 @@ def test_residual_dim_mismatch(rng):
     u = ImageVector(np.zeros(5), (1, 5))
     with pytest.raises(DimMismatchError):
         residual(u, d, SparseCoefficients(np.zeros(4)), {"all"})
+
+
+# ---------------------------------------------------------------------------
+# dependencies: the package imports nothing beyond the standard library,
+# numpy and scipy
+
+
+def test_package_imports_only_stdlib_numpy_and_scipy():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "scipy"}
+    found = set()
+    for path in pathlib.Path(occlucode.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                found |= {(path.name, a.name.split(".")[0]) for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add((path.name, node.module.split(".")[0]))
+    assert found and not {(f, name) for f, name in found if name not in allowed}

@@ -149,6 +149,13 @@ def test_l1_dim_mismatch(rng):
         solve_l1_bpdn(vec(np.zeros(7)), d, SolverConfig())
 
 
+def test_l1_and_group_reject_a_dictionary_without_blocks():
+    d = BlockedDictionary(np.zeros((8, 0)), ())
+    for solve in (solve_l1_bpdn, solve_group_bpdn):
+        with pytest.raises(DimMismatchError, match="no blocks"):
+            solve(vec(np.ones(8) / np.sqrt(8)), d, SolverConfig())
+
+
 # ---------------------------------------------------------------------------
 # group BPDN
 
@@ -254,8 +261,7 @@ def test_group_rejects_unsupported_q():
 
 
 @pytest.mark.parametrize(
-    "field", [{"max_continuation": 0}, {"resid_lower_frac": -0.1},
-              {"resid_lower_frac": 1.5}]
+    "field", [{"epsilon": -0.1}, {"lam": 0.0}, {"max_iters": 0}, {"tol": 0.0}]
 )
 def test_config_rejects_out_of_range(field):
     with pytest.raises(ValueError):
@@ -554,7 +560,7 @@ def test_reports_convergence_only_when_certified(rng, monkeypatch):
     assert (capped.status, capped.converged, capped.iterations) == (solvers.MAX_ITERS, False, 2)
     assert capped.gap > cfg.tol and capped.final_residual <= cfg.epsilon
     # a Newton matrix without a factor stalls the solve at the code it has
-    monkeypatch.setattr(solvers, "_newton_factors", lambda R, sc, starts: (
+    monkeypatch.setattr(solvers, "_newton_factors", lambda R, sc, starts, frozen: (
         np.broadcast_to(np.eye(R.shape[0] + 1), (sc.eta.shape[1], R.shape[0] + 1, R.shape[0] + 1)),
         np.ones(sc.eta.shape[1], dtype=bool)))
     stalled = solve_group_bpdn(u, d, cfg)
@@ -646,6 +652,12 @@ def _lad_instance(rng, kind):
         # dependent rows: a non-unique optimum whose vertex has more zero
         # residuals than the rank, some with their dual on the box
         return rng.integers(0, 4, (130, 4)) / 3.0, rng.integers(0, 4, 130) / 3.0
+    elif kind == "six-levels":
+        # a non-unique optimum whose Newton matrix loses its factor before a
+        # vertex is found: the fit is the certified last iterate
+        rng = np.random.default_rng(1316)
+        m, h, lv = rng.integers(8, 200), rng.integers(1, 8), rng.integers(4, 8)
+        return rng.integers(0, lv, (m, h)) / (lv - 1), rng.integers(0, lv, m) / (lv - 1)
     elif kind == "exact-span":
         A = rng.standard_normal((300, 6))
         return A, A @ rng.standard_normal(6)
@@ -658,14 +670,14 @@ def _lad_instance(rng, kind):
 
 @pytest.mark.parametrize(
     "kind", ["720x4", "720x20", "rank-deficient", "wide", "duplicated-rows",
-             "even-median", "four-levels", "exact-span", "zero-basis"])
+             "even-median", "four-levels", "six-levels", "exact-span", "zero-basis"])
 def test_lad_dual_matches_primal_oracle(rng, kind):
     A, b = _lad_instance(rng, kind)
     fit = lad_fit(A, b)
     x_oracle = primal_lad_oracle(A, b)
     oracle = np.abs(b - A @ x_oracle).sum()
     assert abs(fit.primal - oracle) <= 1e-9 * max(1.0, oracle)
-    if kind not in ("even-median", "four-levels"):
+    if kind not in ("even-median", "four-levels", "six-levels"):
         # x need not be unique (rank-deficient A), but the fitted values are
         assert np.max(np.abs(A @ fit.x - A @ x_oracle)) <= 1e-9
     assert np.array_equal(l1_regression(A, b), fit.x)
@@ -697,6 +709,7 @@ def test_lad_wide_fits_exactly(rng):
 def test_lad_failed_lp_raises_degenerate(rng, monkeypatch):
     # no step of the interior point finds a vertex with a feasible dual
     monkeypatch.setattr(solvers, "_lad_vertex", lambda *args: None)
+    monkeypatch.setattr(solvers, "_LAD_MAX_STEPS", 3)
     A, b = _lad_instance(rng, "720x4")
     with pytest.raises(DegenerateError, match="no vertex"):
         l1_regression(A, b)
