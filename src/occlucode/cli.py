@@ -45,7 +45,6 @@ from .core import (
     FACE,
     Block,
     BlockedDictionary,
-    ImageVector,
     downsample_dictionary,
     downsample_vector,
     normalize_vector,
@@ -171,34 +170,6 @@ class StageTimer:
 # loading at the boundary
 
 
-def load_gallery(corpus_dir: str):
-    """Face dictionary (native resolution) from role=gallery images."""
-    rows = read_manifest(corpus_dir)
-    by_label: dict[str, list] = {}
-    shape = None
-    for row in rows:
-        if row["role"] != "gallery":
-            continue
-        g = read_pgm(os.path.join(corpus_dir, row["path"]))
-        shape = g.shape
-        by_label.setdefault(row["face_label"], []).append(normalize_vector(g).data)
-    if not by_label:
-        raise FormatError(f"{corpus_dir}: manifest has no gallery rows")
-    cols, blocks, pos = [], [], 0
-    for label, vecs in by_label.items():
-        cols.extend(vecs)
-        blocks.append(Block(label, FACE, pos, pos + len(vecs)))
-        pos += len(vecs)
-    return BlockedDictionary(np.stack(cols, axis=1), tuple(blocks)), shape, rows
-
-
-def load_image_vector(corpus_dir, row, shape) -> ImageVector:
-    g = read_pgm(os.path.join(corpus_dir, row["path"]))
-    if g.shape != shape:
-        raise FormatError(f"{row['path']}: resolution differs from gallery")
-    return g
-
-
 def at_features(dictionary: BlockedDictionary, shape, features) -> BlockedDictionary:
     """A dictionary whose atoms lie on the shape grid, downsampled to the
     features resolution (None keeps the grid)."""
@@ -207,20 +178,37 @@ def at_features(dictionary: BlockedDictionary, shape, features) -> BlockedDictio
     return downsample_dictionary(dictionary, shape, *features)
 
 
-def load_probes(corpus: str, features):
-    """The gallery and the unit-norm test and invalid images of a corpus at
-    the features resolution; returns (gallery, [(row, vector)], shape) with
-    the images' own shape."""
-    gallery, shape, rows = load_gallery(corpus)
-    probes = [
-        (row, load_image_vector(corpus, row, shape))
-        for row in rows
-        if row["role"] in ("test", "invalid")
-    ]
+def read_corpus(corpus_dir: str, roles, features=None):
+    """The gallery (one face block per label, unit-norm atoms) and the
+    unit-norm images of the given roles of a corpus, both at the features
+    resolution (None keeps the images' own); returns (gallery,
+    [(row, image)], shape) with the images' own shape, which every image,
+    gallery included, must share."""
+    rows = read_manifest(corpus_dir)
+    gallery_rows = [row for row in rows if row["role"] == "gallery"]
+    if not gallery_rows:
+        raise FormatError(f"{corpus_dir}: manifest has no gallery rows")
+    role_rows = [row for row in rows if row["role"] in roles]
+    paths = [os.path.join(corpus_dir, row["path"]) for row in gallery_rows + role_rows]
+    images = [read_pgm(path) for path in paths]
+    shape = images[0].shape
+    for path, image in zip(paths, images):
+        if image.shape != shape:
+            raise FormatError(f"{path}: shape {image.shape} differs from the gallery's {shape}")
+    by_label: dict[str, list] = {}
+    for row, g in zip(gallery_rows, images):
+        by_label.setdefault(row["face_label"], []).append(normalize_vector(g).data)
+    cols, blocks, pos = [], [], 0
+    for label, vecs in by_label.items():
+        cols.extend(vecs)
+        blocks.append(Block(label, FACE, pos, pos + len(vecs)))
+        pos += len(vecs)
+    gallery = BlockedDictionary(np.stack(cols, axis=1), tuple(blocks))
+    role_images = images[len(gallery_rows):]
     if features not in (None, shape):
-        probes = [(row, downsample_vector(u, *features)) for row, u in probes]
-    probes = [(row, normalize_vector(u)) for row, u in probes]
-    return at_features(gallery, shape, features), probes, shape
+        role_images = [downsample_vector(u, *features) for u in role_images]
+    pairs = [(row, normalize_vector(u)) for row, u in zip(role_rows, role_images)]
+    return at_features(gallery, shape, features), pairs, shape
 
 
 def load_sample_sets(prefixes) -> list[OcclusionSampleSet]:
@@ -250,19 +238,15 @@ def cmd_synth(args, timer) -> int:
 
 
 def cmd_collect(args, timer) -> int:
-    corpus = args.corpus
     os.makedirs(args.out, exist_ok=True)
 
     with timer.time("load"):
-        gallery, shape, rows = load_gallery(corpus)
+        gallery, images, shape = read_corpus(args.corpus, ("collect",))
     mask_cfg = from_options(MaskEstimatorConfig, args)
     rejected = []
     by_category: dict[str, list] = {}
     with timer.time("collect"):
-        for row in rows:
-            if row["role"] != "collect":
-                continue
-            u = normalize_vector(load_image_vector(corpus, row, shape))
+        for row, u in images:
             label = row["face_label"] if args.labeled else None
             category = row["occlusion_label"]
             try:
@@ -356,7 +340,7 @@ def run_classification(gallery, occ_dicts, probes, args):
 def classify_corpus(args):
     """Classify the corpus over its gallery and the --occdict dictionaries;
     returns (records, occlusion categories)."""
-    gallery, probes, shape = load_probes(args.corpus, args.features)
+    gallery, probes, shape = read_corpus(args.corpus, ("test", "invalid"), args.features)
     occ_dicts = [at_features(load_dictionary(p), shape, args.features) for p in args.occdict]
     records = run_classification(gallery, occ_dicts, probes, args)
     return records, [b.label for d in occ_dicts for b in d.blocks]
@@ -432,27 +416,15 @@ def cmd_roc(args, timer) -> int:
             else:
                 occ_invalid.append(rdi_o)
 
-    def rate(scores, theta):
-        # accepted when RDI <= theta; NaN (no classification task) accepts,
-        # and a column with no task at all, or with no rows, has no rate
-        arr = np.asarray(scores)
-        if np.isnan(arr).all():
-            return float("nan")
-        ok = np.isnan(arr) | (arr <= theta)
-        return float(ok.mean())
-
-    rows = []
-    for i in range(101):
-        theta = i / 100.0
-        rows.append(
-            [
-                theta,
-                rate(face_valid, theta),
-                rate(face_invalid, theta),
-                rate(occ_valid, theta),
-                rate(occ_invalid, theta),
-            ]
-        )
+    # accepted when RDI <= theta; NaN (no classification task) accepts,
+    # and a column with no task at all, or with no rows, has no rate
+    thetas = np.arange(101) / 100.0
+    columns = [thetas]
+    for scores in (face_valid, face_invalid, occ_valid, occ_invalid):
+        arr = np.asarray(scores, dtype=float)[:, None]
+        ok = np.isnan(arr) | (arr <= thetas)
+        columns.append(np.full_like(thetas, np.nan) if np.isnan(arr).all() else ok.mean(axis=0))
+    rows = np.column_stack(columns).tolist()
     out_path = os.path.join(args.out, "roc.csv")
     write_csv(
         out_path,
@@ -467,7 +439,7 @@ def cmd_sweep(args, timer) -> int:
     os.makedirs(args.out, exist_ok=True)
     with timer.time("load"):
         sample_sets = load_sample_sets(args.samples)
-        gallery, probes, shape = load_probes(args.corpus, args.features)
+        gallery, probes, shape = read_corpus(args.corpus, ("test", "invalid"), args.features)
 
     rows = []
     with timer.time("sweep"):

@@ -58,15 +58,14 @@ def read_pgm(path: str) -> ImageVector:
 # ---------------------------------------------------------------------------
 # matrix pairs
 
+BLOCK_FIELDS = ("label", "kind", "start", "stop")
+
 
 def save_matrix(prefix: str, mat: np.ndarray, blocks=None, extra: dict | None = None):
     m, n = mat.shape
     meta = {"m": int(m), "n": int(n)}
     if blocks is not None:
-        meta["blocks"] = [
-            {"label": b.label, "kind": b.kind, "start": b.start, "stop": b.stop}
-            for b in blocks
-        ]
+        meta["blocks"] = [{k: getattr(b, k) for k in BLOCK_FIELDS} for b in blocks]
     if extra:
         meta.update(extra)
     with open(prefix + ".json", "w") as f:
@@ -78,6 +77,9 @@ def save_matrix(prefix: str, mat: np.ndarray, blocks=None, extra: dict | None = 
 def load_matrix(prefix: str) -> tuple[np.ndarray, dict]:
     with open(prefix + ".json") as f:
         meta = json.load(f)
+    if not isinstance(meta, dict) or not all(
+            type(meta.get(k)) is int and meta[k] >= 0 for k in ("m", "n")):
+        raise FormatError(f"{prefix}.json: expected an object with integers m, n >= 0")
     m, n = meta["m"], meta["n"]
     data = np.fromfile(prefix + ".f64", dtype="<f8")
     if data.size != m * n:
@@ -91,12 +93,12 @@ def save_dictionary(prefix: str, dictionary: BlockedDictionary) -> None:
 
 def load_dictionary(prefix: str) -> BlockedDictionary:
     mat, meta = load_matrix(prefix)
-    if "blocks" not in meta:
-        raise FormatError(f"{prefix}.json: missing block list")
-    blocks = tuple(
-        Block(b["label"], b["kind"], b["start"], b["stop"]) for b in meta["blocks"]
-    )
-    return BlockedDictionary(mat, blocks)
+    blocks = meta.get("blocks")
+    if not isinstance(blocks, list) or not all(
+            isinstance(b, dict) and all(k in b for k in BLOCK_FIELDS)
+            and type(b["start"]) is type(b["stop"]) is int for b in blocks):
+        raise FormatError(f"{prefix}.json: missing or malformed block list")
+    return BlockedDictionary(mat, tuple(Block(*(b[k] for k in BLOCK_FIELDS)) for b in blocks))
 
 
 # ---------------------------------------------------------------------------

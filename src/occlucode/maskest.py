@@ -41,6 +41,10 @@ class MaskEstimatorConfig:
             raise BadHError("h must be >= 1")
         if self.beta < 0:
             raise ValueError("beta must be >= 0")
+        if self.max_outer_iters < 1:
+            raise ValueError("max_outer_iters must be >= 1")
+        if not (0 <= self.min_support_fraction < 1):
+            raise ValueError("min_support_fraction must lie in [0, 1)")
         taus = tuple(self.tau_schedule)
         if not taus or any(not (0 < t < 1) for t in taus):
             raise ValueError("tau schedule entries must lie in (0, 1)")

@@ -17,6 +17,7 @@ from occlucode import (
     BlockedDictionary,
     ClassifierConfig,
     CorpusPlan,
+    ImageVector,
     KsvdConfig,
     MaskEstimatorConfig,
     SolverConfig,
@@ -26,7 +27,6 @@ from occlucode import (
     collect_ssrc,
     estimate_mask,
     generate_corpus,
-    normalize_vector,
     solvers,
 )
 from occlucode.cli import (
@@ -39,7 +39,7 @@ from occlucode.cli import (
     with_config,
 )
 from occlucode.core import OCCLUSION, normalize_columns
-from occlucode.imageio import load_dictionary, load_matrix, save_dictionary
+from occlucode.imageio import load_dictionary, load_matrix, save_dictionary, write_pgm
 
 CORPUS_FLAGS = [
     "--classes", "4",
@@ -229,8 +229,8 @@ def test_collect_samples_unit_norm(samples):
 
 
 def test_collect_esrc_matches_module(corpus, tmp_path):
-    from occlucode import collect_esrc, normalize_vector
-    from occlucode.cli import load_gallery, load_image_vector
+    from occlucode import collect_esrc
+    from occlucode.cli import read_corpus
     from occlucode.imageio import load_matrix
 
     out = tmp_path / "esrc"
@@ -239,20 +239,18 @@ def test_collect_esrc_matches_module(corpus, tmp_path):
     )
     assert rc == 0
     mat, _ = load_matrix(str(out / "samples_band"))
-    gallery, shape, rows = load_gallery(corpus)
-    collect_rows = [r for r in rows if r["role"] == "collect"]
-    u = normalize_vector(load_image_vector(corpus, collect_rows[0], shape))
-    expect = collect_esrc(u, gallery.subdict(collect_rows[0]["face_label"]))
+    gallery, images, _ = read_corpus(corpus, ("collect",))
+    row, u = images[0]
+    expect = collect_esrc(u, gallery.subdict(row["face_label"]))
     assert np.allclose(mat[:, 0], expect.data, atol=1e-12)
 
 
 def _collect_images(corpus):
     """The gallery and the (row, unit-norm image) pairs of role collect."""
-    from occlucode.cli import load_gallery, load_image_vector
+    from occlucode.cli import read_corpus
 
-    gallery, shape, rows = load_gallery(corpus)
-    return gallery, [(row, normalize_vector(load_image_vector(corpus, row, shape)))
-                     for row in rows if row["role"] == "collect"]
+    gallery, images, _ = read_corpus(corpus, ("collect",))
+    return gallery, images
 
 
 @pytest.mark.parametrize("labeled", [True, False])
@@ -869,3 +867,40 @@ def test_exit_code_non_finite_dictionary(corpus, occdict, tmp_path):
          "--out", str(tmp_path / "o")]
     )
     assert rc == 2
+
+
+BLOCK_WITHOUT_STOP = '{"m": 2, "n": 3, "blocks": [{"label": "o", "kind": "occlusion", "start": 0}]}'
+
+
+@pytest.mark.parametrize("command, flags, metadata", [
+    ("train", ["--samples", "{bad}"], '{"n": 3}'),
+    ("train", ["--samples", "{bad}"], '{"m": 2, "n": 3.0}'),
+    ("train", ["--samples", "{bad}"], '{"m": "2", "n": 3}'),
+    ("train", ["--samples", "{bad}"], "[2, 3]"),
+    ("classify", ["--corpus", "{corpus}", "--occdict", "{bad}"], BLOCK_WITHOUT_STOP),
+    ("collect", ["--corpus", "{corpus}", "--max-outer-iters", "0"], None),
+    ("collect", ["--corpus", "{corpus}", "--min-support-fraction", "1.5"], None),
+    ("collect", ["--corpus", "{resized}"], None),
+    ("classify", ["--corpus", "{resized}"], None),
+], ids=["no-m", "float-n", "string-m", "list-metadata", "block-without-stop",
+        "zero-outer-iters", "support-fraction-above-1", "collect-resized-gallery",
+        "classify-resized-gallery"])
+def test_malformed_input_exits_with_documented_code(corpus, tmp_path, capsys, command,
+                                                    flags, metadata):
+    """Each malformed input exits 2 as a data error rather than escaping
+    main; a gallery image of another resolution is named on stderr."""
+    bad, resized = str(tmp_path / "bad"), tmp_path / "corpus"
+    if metadata is not None:
+        (tmp_path / "bad.json").write_text(metadata)
+        np.zeros(6).tofile(bad + ".f64")
+    if "{resized}" in flags:
+        shutil.copytree(corpus, resized)
+        write_pgm(str(resized / "gallery_class002_01.pgm"),
+                  ImageVector(np.full(12, 0.5), (4, 3)))
+    argv = [command, "--out", str(tmp_path / "o")]
+    argv += [f.format(bad=bad, corpus=corpus, resized=resized) for f in flags]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ")
+    if "{resized}" in flags:
+        assert str(resized / "gallery_class002_01.pgm") in err

@@ -108,6 +108,12 @@ def test_matrix_size_mismatch(tmp_path, rng):
         f.write(b"\x00" * 16)
     with pytest.raises(FormatError):
         load_matrix(prefix)
+    # metadata that is not an object with integers m, n >= 0
+    for meta in ('{"n": 3}', '{"m": 3, "n": 3.0}', '{"m": "6", "n": 3}', "[3, 3]"):
+        with open(prefix + ".json", "w") as f:
+            f.write(meta)
+        with pytest.raises(FormatError):
+            load_matrix(prefix)
 
 
 def test_dictionary_roundtrip(tmp_path, rng):
@@ -124,9 +130,17 @@ def test_dictionary_roundtrip(tmp_path, rng):
 
 def test_dictionary_requires_blocks(tmp_path, rng):
     prefix = str(tmp_path / "nb")
-    save_matrix(prefix, normalize_columns(rng.standard_normal((4, 2))))
+    atoms = normalize_columns(rng.standard_normal((4, 2)))
+    save_matrix(prefix, atoms)
     with pytest.raises(FormatError):
         load_dictionary(prefix)
+    # a block list that is not a list of objects with every block field,
+    # start and stop integers
+    entry = {"label": "occ", "kind": OCCLUSION, "start": 0}
+    for blocks in ([entry], entry, ["occ"], [dict(entry, start="0", stop=2)]):
+        save_matrix(prefix, atoms, extra={"blocks": blocks})
+        with pytest.raises(FormatError):
+            load_dictionary(prefix)
 
 
 def test_manifest_roundtrip(tmp_path):

@@ -310,6 +310,11 @@ def test_config_validation():
         MaskEstimatorConfig(tau_schedule=())
     with pytest.raises(BadHError):
         MaskEstimatorConfig(h=0)
+    for bad in ({"max_outer_iters": 0}, {"max_outer_iters": -1},
+                {"min_support_fraction": 1.5}, {"min_support_fraction": 1.0},
+                {"min_support_fraction": -0.1}):
+        with pytest.raises(ValueError):
+            MaskEstimatorConfig(**bad)
 
 
 def test_default_tau_schedule_shape():
