@@ -9,12 +9,11 @@ the generating block.
 import numpy as np
 
 from occlucode import (
-    Block,
-    BlockedDictionary,
     ImageVector,
     SolverConfig,
     solve_group_bpdn,
     solve_l1_bpdn,
+    stack_blocks,
 )
 from occlucode.core import FACE, normalize_columns
 
@@ -23,7 +22,7 @@ rng = np.random.default_rng(0)
 # --- plain l1: sparse recovery -------------------------------------------
 m, n = 8, 12
 atoms = normalize_columns(rng.standard_normal((m, n)))
-dictionary = BlockedDictionary(atoms, (Block("all", FACE, 0, n),))
+dictionary = stack_blocks([("all", FACE, atoms)])
 
 noise = rng.standard_normal(m)
 noise *= 0.01 / np.linalg.norm(noise)
@@ -38,12 +37,13 @@ print(f"  residual    : {report.final_residual:.4f} (bound 0.02)")
 print(f"  |w|_1       : {report.objective:.4f}")
 
 # --- group sparsity: whole blocks switch on or off ------------------------
-blocks = (Block("a", FACE, 0, 4), Block("b", FACE, 4, 8), Block("c", FACE, 8, 12))
-blocked = BlockedDictionary(atoms, blocks)
-u2 = ImageVector(atoms[:, 4:8] @ np.array([0.5, 0.4, 0.0, 0.3]), (2, 4))
+# three blocks of four atoms each, laid side by side in order
+blocked = stack_blocks([(label, FACE, part) for label, part in zip("abc", np.hsplit(atoms, 3))])
+b_atoms = blocked.atoms[:, blocked.block("b").cols]
+u2 = ImageVector(b_atoms @ np.array([0.5, 0.4, 0.0, 0.3]), (2, 4))
 
 report = solve_group_bpdn(u2, blocked, SolverConfig(epsilon=0.01, lam=1.0))
 w = report.coefficients.values
 print("\ngroup coding (signal lives in block 'b')")
-for b in blocks:
+for b in blocked.blocks:
     print(f"  block {b.label}: ||w_b|| = {np.linalg.norm(w[b.cols]):.4f}")

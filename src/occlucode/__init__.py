@@ -13,6 +13,7 @@ from .core import (
     downsample_vector,
     normalize_vector,
     residual,
+    stack_blocks,
 )
 from .classify import (
     ClassifierConfig,

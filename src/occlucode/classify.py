@@ -18,11 +18,11 @@ import numpy as np
 from .core import (
     FACE,
     OCCLUSION,
-    Block,
     BlockedDictionary,
     ClassificationOutcome,
     ImageVector,
     normalize_vector,
+    stack_blocks,
 )
 from .errors import DegenerateError, DimMismatchError
 from .solvers import (
@@ -58,25 +58,21 @@ class ClassifierConfig:
 def build_compound(face_dicts, occ_dicts) -> BlockedDictionary:
     """Concatenate face sub-dictionaries and occlusion sub-dictionaries
     into a single blocked dictionary R = [D, B]."""
-    mats, blocks = [], []
-    offset = 0
-    ms = set()
+    groups, ms = [], set()
     for group, kind in ((face_dicts, FACE), (occ_dicts, OCCLUSION)):
         for d in group:
             ms.add(d.m)
             if len(ms) > 1:
                 raise DimMismatchError(f"inconsistent feature dimensions {sorted(ms)}")
-            mats.append(d.atoms)
             for b in d.blocks:
                 if b.kind != kind:
                     raise ValueError(
                         f"block {b.label!r} has kind {b.kind}, expected {kind}"
                     )
-                blocks.append(Block(b.label, kind, offset + b.start, offset + b.stop))
-            offset += d.n
-    if not mats:
+                groups.append((b.label, kind, d.atoms[:, b.cols]))
+    if not groups:
         raise DimMismatchError("no dictionaries to concatenate")
-    return BlockedDictionary(np.concatenate(mats, axis=1), tuple(blocks))
+    return stack_blocks(groups)
 
 
 def rdi(residuals: dict) -> float:
@@ -175,10 +171,7 @@ def _decide(u, R, report: SolveReport, cfg) -> ClassificationOutcome:
 def with_identity_block(D: BlockedDictionary) -> BlockedDictionary:
     """Append an m x m identity occlusion block (the generic pixel-wise
     occlusion model)."""
-    eye = BlockedDictionary(
-        np.eye(D.m), (Block(IDENTITY_LABEL, OCCLUSION, 0, D.m),)
-    )
-    return build_compound([D], [eye])
+    return build_compound([D], [stack_blocks([(IDENTITY_LABEL, OCCLUSION, np.eye(D.m))])])
 
 
 def classify_src_baseline(

@@ -43,11 +43,11 @@ from .classify import (
 )
 from .core import (
     FACE,
-    Block,
     BlockedDictionary,
     downsample_dictionary,
     downsample_vector,
     normalize_vector,
+    stack_blocks,
 )
 from .dictlearn import (
     KsvdConfig,
@@ -198,12 +198,8 @@ def read_corpus(corpus_dir: str, roles, features=None):
     by_label: dict[str, list] = {}
     for row, g in zip(gallery_rows, images):
         by_label.setdefault(row["face_label"], []).append(normalize_vector(g).data)
-    cols, blocks, pos = [], [], 0
-    for label, vecs in by_label.items():
-        cols.extend(vecs)
-        blocks.append(Block(label, FACE, pos, pos + len(vecs)))
-        pos += len(vecs)
-    gallery = BlockedDictionary(np.stack(cols, axis=1), tuple(blocks))
+    gallery = stack_blocks([(label, FACE, np.stack(vecs, axis=1))
+                            for label, vecs in by_label.items()])
     role_images = images[len(gallery_rows):]
     if features not in (None, shape):
         role_images = [downsample_vector(u, *features) for u in role_images]
@@ -445,7 +441,7 @@ def cmd_sweep(args, timer) -> int:
     with timer.time("sweep"):
         for size in args.sizes:
             occ_dicts = []
-            for s in sample_sets if size > 0 else []:
+            for s in sample_sets if size > 0 and args.mode != SRC_MODE else []:
                 cfg = from_options(KsvdConfig, args, atom_count=min(size, s.p))
                 dictionary, _ = ksvd_train_with_trace(s, cfg)
                 occ_dicts.append(at_features(dictionary, shape, args.features))

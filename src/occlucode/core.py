@@ -153,9 +153,7 @@ class BlockedDictionary:
     def subdict(self, label: str) -> "BlockedDictionary":
         """Single-block dictionary holding one labeled block's atoms."""
         b = self.block(label)
-        return BlockedDictionary(
-            self.atoms[:, b.cols], (Block(b.label, b.kind, 0, b.size),)
-        )
+        return stack_blocks([(label, b.kind, self.atoms[:, b.cols])])
 
     @property
     def fingerprint(self) -> str:
@@ -164,6 +162,17 @@ class BlockedDictionary:
         for b in self.blocks:
             h.update(f"{b.label}|{b.kind}|{b.start}|{b.stop};".encode())
         return h.hexdigest()[:16]
+
+
+def stack_blocks(groups) -> BlockedDictionary:
+    """The dictionary of a list of (label, kind, atoms) groups set side by
+    side in order, each group one block over its own columns."""
+    if not groups:
+        raise DimMismatchError("no atom groups to stack")
+    stops = np.cumsum([atoms.shape[1] for _, _, atoms in groups]).tolist()
+    blocks = tuple(Block(label, kind, stop - atoms.shape[1], stop)
+                   for (label, kind, atoms), stop in zip(groups, stops))
+    return BlockedDictionary(np.concatenate([g[2] for g in groups], axis=1), blocks)
 
 
 @dataclass(frozen=True)

@@ -27,10 +27,10 @@ import numpy as np
 from .core import (
     NORM_TOL,
     OCCLUSION,
-    Block,
     BlockedDictionary,
     ImageVector,
     normalize_vector,
+    stack_blocks,
 )
 from .errors import EmptySamplesError, RankDeficientWarning, ZeroPatternError
 from .maskest import MaskEstimatorConfig, build_lcd, estimate_mask, extract_pattern
@@ -224,8 +224,7 @@ def ksvd_train_with_trace(
             D[:, k] = U[:, 0] * sgn
             A[k, users] = sv[0] * Vt[0] * sgn
         trace.append(float(np.linalg.norm(S - D @ A)))
-    blocks = (Block(sample_set.category, OCCLUSION, 0, K),)
-    return BlockedDictionary(D, blocks), trace
+    return stack_blocks([(sample_set.category, OCCLUSION, D)]), trace
 
 
 def ksvd_train(sample_set: OcclusionSampleSet, cfg: KsvdConfig) -> BlockedDictionary:

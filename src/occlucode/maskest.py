@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FACE, Block, BlockedDictionary, ImageVector, OcclusionMask
+from .core import FACE, BlockedDictionary, ImageVector, OcclusionMask, stack_blocks
 from .errors import BadHError, DegenerateError, DimMismatchError, ZeroPatternError
 from .graphcut import grid_edges, maximize_grid_mrf, mrf_energy
 from .imageio import write_pgm
@@ -72,9 +72,7 @@ def build_lcd(u: ImageVector, dictionary: BlockedDictionary, h: int) -> BlockedD
         raise DimMismatchError(f"u has m={u.m}, dictionary has m={dictionary.m}")
     psi = dictionary.atoms.T @ u.data
     order = np.argsort(-psi, kind="stable")[:h]
-    return BlockedDictionary(
-        dictionary.atoms[:, order], (Block("lcd", FACE, 0, h),)
-    )
+    return stack_blocks([("lcd", FACE, dictionary.atoms[:, order])])
 
 
 def _data_terms(e: np.ndarray, tau: float):
@@ -119,7 +117,6 @@ def estimate_mask(
         raise DimMismatchError(f"u has m={u.m}, basis has m={basis.m}")
     m = u.m
     taus = cfg.tau_schedule
-    edges = grid_edges(*u.shape, cfg.neighborhood)
     z = np.ones(m, dtype=np.int8)
     e_full = None
     it = 0
@@ -128,8 +125,8 @@ def estimate_mask(
         rows = z == 1
         x = l1_regression(basis.atoms[rows], u.data[rows])
         e_full = u.data - basis.atoms @ x
-        # one update_support step, on the grid built once
-        z_new = maximize_grid_mrf(*_data_terms(e_full, tau), cfg.beta, edges)
+        z_new = update_support(ImageVector(e_full, u.shape), cfg.beta, tau,
+                               cfg.neighborhood).support
         if debug_dir is not None:
             _dump_iteration(debug_dir, it, e_full, z_new, u.shape)
         if z_new.mean() < cfg.min_support_fraction:

@@ -18,11 +18,11 @@ import numpy as np
 
 from .core import (
     FACE,
-    Block,
     BlockedDictionary,
     ImageVector,
     OcclusionMask,
     normalize_vector,
+    stack_blocks,
 )
 from .errors import BadSpecError, UnknownShapeError
 from .imageio import write_manifest, write_pgm
@@ -69,6 +69,8 @@ class SynthSpec:
             raise BadSpecError("subspace_dim must be in [1, samples_per_class]")
         if self.noise_sigma < 0:
             raise BadSpecError("noise_sigma must be >= 0")
+        if self.test_per_class is not None and self.test_per_class < 0:
+            raise BadSpecError("test_per_class must be >= 0")
         object.__setattr__(self, "occlusion_shapes", tuple(self.occlusion_shapes))
         names = [s.name for s in self.occlusion_shapes]
         for name in names:
@@ -150,19 +152,13 @@ def generate_gallery(
     spec: SynthSpec,
 ) -> tuple[BlockedDictionary, list[tuple[ImageVector, str]]]:
     """Training dictionary plus a disjoint labeled test set."""
-    bases = _class_bases(spec, spec.classes)
-    cols, blocks, test = [], [], []
-    pos = 0
-    for i, basis in enumerate(bases):
+    groups, test = [], []
+    for i, basis in enumerate(_class_bases(spec, spec.classes)):
         label = spec.class_label(i)
-        for g in _faces_for_class(spec, basis, i, "train", spec.samples_per_class):
-            cols.append(normalize_vector(g).data)
-        blocks.append(Block(label, FACE, pos, pos + spec.samples_per_class))
-        pos += spec.samples_per_class
-        for g in _faces_for_class(spec, basis, i, "test", spec.n_test):
-            test.append((g, label))
-    train = BlockedDictionary(np.stack(cols, axis=1), tuple(blocks))
-    return train, test
+        faces = _faces_for_class(spec, basis, i, "train", spec.samples_per_class)
+        groups.append((label, FACE, np.stack([normalize_vector(g).data for g in faces], axis=1)))
+        test += [(g, label) for g in _faces_for_class(spec, basis, i, "test", spec.n_test)]
+    return stack_blocks(groups), test
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +229,11 @@ class CorpusPlan:
     invalid_classes: int = 0  # extra classes kept out of the gallery
     invalid_per_class: int = 2
     unknown_shapes: tuple = ()  # shapes absent from training, for rejection runs
+
+    def __post_init__(self):
+        if min(self.collect_classes, self.collect_per_class, self.invalid_classes,
+               self.invalid_per_class) < 0:
+            raise BadSpecError("corpus plan counts must be >= 0")
 
 
 def generate_corpus(spec: SynthSpec, plan: CorpusPlan, out_dir: str) -> str:

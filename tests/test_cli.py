@@ -26,6 +26,7 @@ from occlucode import (
     collect_soc,
     collect_ssrc,
     estimate_mask,
+    cli,
     generate_corpus,
     solvers,
 )
@@ -535,6 +536,22 @@ def test_sweep_sizes(corpus, samples, tmp_path):
     assert _stages(out) == ["load", "sweep"]
 
 
+def test_sweep_src_trains_no_dictionary(corpus, samples, tmp_path, monkeypatch):
+    """src codes over the gallery and an identity block, so its sweep
+    trains no K-SVD dictionary and still writes one row per size."""
+    def refuse(*args):
+        raise AssertionError("src mode trained a K-SVD dictionary")
+
+    monkeypatch.setattr(cli, "ksvd_train_with_trace", refuse)
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "--corpus", corpus, "--samples", samples, "--out", str(out),
+               "--sizes", "0,2", "--mode", "src"])
+    assert rc == 0
+    with open(out / "sweep.csv") as f:
+        lines = f.read().strip().splitlines()
+    assert [int(l.split(",")[0]) for l in lines[1:]] == [0, 2]
+
+
 # ---------------------------------------------------------------------------
 # config file and flag precedence
 
@@ -882,13 +899,19 @@ BLOCK_WITHOUT_STOP = '{"m": 2, "n": 3, "blocks": [{"label": "o", "kind": "occlus
     ("collect", ["--corpus", "{corpus}", "--min-support-fraction", "1.5"], None),
     ("collect", ["--corpus", "{resized}"], None),
     ("classify", ["--corpus", "{resized}"], None),
+    ("synth", ["--invalid-classes", "-1"], None),
+    ("synth", ["--test-per-class", "-1"], None),
+    ("synth", ["--collect-per-class", "-2"], None),
+    ("synth", ["--invalid-per-class", "-1"], None),
 ], ids=["no-m", "float-n", "string-m", "list-metadata", "block-without-stop",
         "zero-outer-iters", "support-fraction-above-1", "collect-resized-gallery",
-        "classify-resized-gallery"])
+        "classify-resized-gallery", "negative-invalid-classes", "negative-test-per-class",
+        "negative-collect-per-class", "negative-invalid-per-class"])
 def test_malformed_input_exits_with_documented_code(corpus, tmp_path, capsys, command,
                                                     flags, metadata):
     """Each malformed input exits 2 as a data error rather than escaping
-    main; a gallery image of another resolution is named on stderr."""
+    main; a gallery image of another resolution is named on stderr, and a
+    synth spec with a negative count writes nothing."""
     bad, resized = str(tmp_path / "bad"), tmp_path / "corpus"
     if metadata is not None:
         (tmp_path / "bad.json").write_text(metadata)
@@ -904,3 +927,5 @@ def test_malformed_input_exits_with_documented_code(corpus, tmp_path, capsys, co
     assert err.startswith("data error: ")
     if "{resized}" in flags:
         assert str(resized / "gallery_class002_01.pgm") in err
+    if command == "synth":
+        assert not (tmp_path / "o").exists()

@@ -18,6 +18,7 @@ from occlucode import (
     downsample_vector,
     normalize_vector,
     residual,
+    stack_blocks,
 )
 from occlucode.core import FACE, OCCLUSION, normalize_columns
 from occlucode.errors import (
@@ -169,6 +170,16 @@ def test_block_partition_sums_to_identity(rng):
         d.block("d")
 
 
+def test_stack_blocks_lays_groups_side_by_side(rng):
+    a, b, c = (normalize_columns(rng.standard_normal((5, k))) for k in (2, 3, 1))
+    d = stack_blocks([("a", FACE, a), ("b", FACE, b), ("x", OCCLUSION, c)])
+    assert d.blocks == (Block("a", FACE, 0, 2), Block("b", FACE, 2, 5),
+                        Block("x", OCCLUSION, 5, 6))
+    assert np.array_equal(d.atoms, np.concatenate([a, b, c], axis=1))
+    with pytest.raises(DimMismatchError):
+        stack_blocks([])
+
+
 def test_dictionary_invariants():
     atoms = normalize_columns(np.eye(3))
     with pytest.raises(DuplicateLabelError):
@@ -255,3 +266,16 @@ def test_package_imports_only_stdlib_numpy_and_scipy():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 found.add((path.name, node.module.split(".")[0]))
     assert found and not {(f, name) for f, name in found if name not in allowed}
+
+
+def test_blocks_are_laid_out_only_by_core_and_read_by_imageio():
+    """core.stack_blocks assigns every column range; imageio only reads
+    ranges back from a file."""
+    callers = set()
+    for path in pathlib.Path(occlucode.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name == "Block":
+                    callers.add(path.name)
+    assert callers == {"core.py", "imageio.py"}

@@ -26,6 +26,14 @@ def test_spec_validation():
         OcclusionShape("x", "rectangle", 1.5)
     with pytest.raises(BadSpecError):
         OcclusionShape("x", "blob", 0.3)
+    with pytest.raises(BadSpecError):
+        SynthSpec(test_per_class=-1)
+    assert SynthSpec(test_per_class=0).n_test == 0
+    for count in ("collect_classes", "collect_per_class", "invalid_classes",
+                  "invalid_per_class"):
+        with pytest.raises(BadSpecError):
+            CorpusPlan(**{count: -1})
+        CorpusPlan(**{count: 0})
 
 
 def test_two_classes_single_sample_exact():
