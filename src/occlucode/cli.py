@@ -312,8 +312,8 @@ def cmd_train(args, timer) -> int:
 def run_classification(gallery, occ_dicts, probes, args):
     """Classify each (row, vector) probe over the gallery and the occlusion
     dictionaries, all at the probes' resolution and all coded together;
-    returns (row, outcome) pairs. One stderr line counts the solves that
-    were certified, that hit the floor and that stopped uncertified."""
+    returns (row, outcome) pairs. src mode codes over the gallery and an
+    identity block and reads no occlusion dictionary."""
     cfg = from_options(
         ClassifierConfig,
         args,
@@ -325,20 +325,28 @@ def run_classification(gallery, occ_dicts, probes, args):
     else:
         R = build_compound([gallery], occ_dicts)
     outcomes = classify_many([u for _, u in probes], R, cfg)
+    return [(row, outcome) for (row, _), outcome in zip(probes, outcomes)]
+
+
+def print_solve_counts(records) -> None:
+    """One stderr line that counts the solves that were certified, that hit
+    the floor and that stopped uncertified."""
+    outcomes = [o for _, o in records]
     certified = sum(o.converged for o in outcomes)
     floor = sum(o.status == FLOOR for o in outcomes)
     print(f"coded {len(outcomes)} probes: {certified} certified, {floor} at the floor "
           f"(no code meets eps), {len(outcomes) - certified - floor} uncertified",
           file=sys.stderr)
-    return [(row, outcome) for (row, _), outcome in zip(probes, outcomes)]
 
 
 def classify_corpus(args):
-    """Classify the corpus over its gallery and the --occdict dictionaries;
-    returns (records, occlusion categories)."""
+    """Classify the corpus over its gallery and the --occdict dictionaries,
+    which src mode does not load; returns (records, occlusion categories)."""
     gallery, probes, shape = read_corpus(args.corpus, ("test", "invalid"), args.features)
-    occ_dicts = [at_features(load_dictionary(p), shape, args.features) for p in args.occdict]
+    occ_dicts = [] if args.mode == SRC_MODE else [
+        at_features(load_dictionary(p), shape, args.features) for p in args.occdict]
     records = run_classification(gallery, occ_dicts, probes, args)
+    print_solve_counts(records)
     return records, [b.label for d in occ_dicts for b in d.blocks]
 
 
@@ -437,15 +445,18 @@ def cmd_sweep(args, timer) -> int:
         sample_sets = load_sample_sets(args.samples)
         gallery, probes, shape = read_corpus(args.corpus, ("test", "invalid"), args.features)
 
-    rows = []
+    rows, records = [], None
     with timer.time("sweep"):
         for size in args.sizes:
-            occ_dicts = []
-            for s in sample_sets if size > 0 and args.mode != SRC_MODE else []:
-                cfg = from_options(KsvdConfig, args, atom_count=min(size, s.p))
-                dictionary, _ = ksvd_train_with_trace(s, cfg)
-                occ_dicts.append(at_features(dictionary, shape, args.features))
-            records = run_classification(gallery, occ_dicts, probes, args)
+            # src's dictionary is the same at every size: its probes are coded once
+            if records is None or args.mode != SRC_MODE:
+                occ_dicts = []
+                for s in sample_sets if size > 0 and args.mode != SRC_MODE else []:
+                    cfg = from_options(KsvdConfig, args, atom_count=min(size, s.p))
+                    dictionary, _ = ksvd_train_with_trace(s, cfg)
+                    occ_dicts.append(at_features(dictionary, shape, args.features))
+                records = run_classification(gallery, occ_dicts, probes, args)
+            print_solve_counts(records)
             correct, n_test = count_correct(records)
             rows.append([size, correct / n_test if n_test else 0.0])
     out_path = os.path.join(args.out, "sweep.csv")

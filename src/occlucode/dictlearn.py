@@ -13,8 +13,13 @@ occluded pixels; under ssrc and esrc, a residual of norm below SAMPLE_DROP_TOL.
 
 The collected samples are redundant; K-SVD compresses them into a small
 single-block occlusion dictionary. Its coding step is orthogonal matching
-pursuit at the exact sparsity budget; a sample keeps its previous code when
-that represents it better, so the representation error never increases.
+pursuit at the exact sparsity budget, run as lockstep Batch-OMP (Rubinstein,
+Zibulevsky & Elad, "Efficient implementation of the K-SVD algorithm using
+Batch OMP", Technion CS-2008-08): every sample picks its atoms at once from
+the correlations D^T S - G A, with G = D^T D and D^T S formed once per
+iteration, and refits on the Gram matrix of its support. A sample keeps its
+previous code when that represents it better, so the representation error
+never increases.
 """
 
 from __future__ import annotations
@@ -159,31 +164,35 @@ def _fix_sign(v: np.ndarray) -> float:
     return -1.0 if v[j] < 0 else 1.0
 
 
-def _omp_code(D, s, budget, prev_code):
-    """Orthogonal matching pursuit: up to `budget` atoms, each the one most
-    correlated with the residual, with a least-squares refit on the support
-    after every pick; never worse than prev_code."""
-    code = np.zeros(D.shape[1])
-    support: list[int] = []
-    r = s
-    # stop once no atom left correlates with the residual beyond rounding:
-    # an atom picked for rounding noise gets a ~1e-14 code entry, and K-SVD's
-    # dead-atom test reads every nonzero entry
-    floor = 1e-10 * np.linalg.norm(s)
-    for _ in range(min(budget, D.shape[1])):
-        corr = np.abs(D.T @ r)
-        corr[support] = 0.0  # zero in exact arithmetic; rounding must not re-pick
-        j = int(np.argmax(corr))
-        if corr[j] <= floor:
+def _omp_codes(D, S, budget, prev):
+    """Orthogonal matching pursuit of every column of S in lockstep
+    (Batch-OMP): each column picks up to `budget` atoms, each the one most
+    correlated with its residual, D^T S - G A, and after every pick refits
+    its code a on its support by solving G_SS a = (D^T s)_S; a column keeps
+    its code in prev when that represents it better."""
+    K, p = D.shape[1], S.shape[1]
+    G, DtS = D.T @ D, D.T @ S
+    A = np.zeros((K, p))
+    support = np.zeros((p, 0), dtype=int)
+    live = np.arange(p)
+    # a column stops once no atom left correlates with its residual beyond
+    # rounding: an atom picked for rounding noise gets a ~1e-14 code entry,
+    # and K-SVD's dead-atom test reads every nonzero entry
+    floor = 1e-10 * np.linalg.norm(S, axis=0)
+    for _ in range(min(budget, K)):
+        corr, cols = np.abs(DtS[:, live] - G @ A[:, live]), np.arange(len(live))
+        corr[support.T, cols] = 0.0  # zero in exact arithmetic; rounding must not re-pick
+        j = np.argmax(corr, axis=0)
+        go = corr[j, cols] > floor[live]
+        live, support = live[go], np.column_stack((support[go], j[go]))
+        if not len(live):
             break
-        support.append(j)
-        sol, *_ = np.linalg.lstsq(D[:, support], s, rcond=None)
-        code[support] = sol
-        r = s - D[:, support] @ sol
-    # monotonicity guard: keep whichever code represents s better
-    if np.linalg.norm(r) <= np.linalg.norm(s - D @ prev_code):
-        return code
-    return prev_code
+        G_SS = G[support[:, :, None], support[:, None, :]]
+        rhs = DtS[support, live[:, None]]
+        A[support, live[:, None]] = np.linalg.solve(G_SS, rhs[..., None])[..., 0]
+    # monotonicity guard: each column keeps whichever code represents it better
+    better = np.linalg.norm(S - D @ A, axis=0) <= np.linalg.norm(S - D @ prev, axis=0)
+    return np.where(better, A, prev)
 
 
 def ksvd_train_with_trace(
@@ -205,8 +214,7 @@ def ksvd_train_with_trace(
 
     trace = []
     for _ in range(cfg.iterations):
-        for j in range(p):
-            A[:, j] = _omp_code(D, S[:, j], cfg.sparsity_budget, A[:, j])
+        A = _omp_codes(D, S, cfg.sparsity_budget, A)
         for k in range(K):
             users = A[k] != 0.0
             if not np.any(users):

@@ -410,9 +410,9 @@ class LadFit:
         return self.primal - self.dual
 
 
-def _max_step(*pairs):
-    """The largest a <= 1 with x + a dx >= 0 for each pair (x, dx), x > 0."""
-    return 1.0 / max(1.0, max(float(np.max(-dx / x)) for x, dx in pairs))
+def _max_step(x1, dx1, x2, dx2):
+    """The largest a <= 1 with x + a dx >= 0 for (x1, dx1) and (x2, dx2), x > 0."""
+    return 1.0 / max(1.0, (-dx1 / x1).max(), (-dx2 / x2).max())
 
 
 def _lad_vertex(Q, b, r, y, tol):
@@ -471,26 +471,25 @@ def _lad_dual(Q, b):
             if vertex is not None:
                 return vertex
         d = 1.0 / (w / s + v / t)
-        try:
-            factor = linalg.cho_factor((Q * d[:, None]).T @ Q, check_finite=False)
-        except np.linalg.LinAlgError:  # short of a vertex: lad_fit certifies the iterate
+        factor, info = linalg.lapack.dpotrf((Q * d[:, None]).T @ Q, lower=0, clean=0)
+        if info != 0:  # short of a vertex: lad_fit certifies the iterate
             return z, y
         rd, rp = r - w + v, -(Q.T @ y)  # rounding drift off feasibility
 
         def direction(rws, rvt):
             # Newton step for the complementarities w s = rws, v t = rvt
             g = rd - rws / s + rvt / t
-            dz = linalg.cho_solve(factor, Q.T @ (d * g) - rp, check_finite=False)
+            dz = linalg.lapack.dpotrs(factor, Q.T @ (d * g) - rp, lower=0)[0]
             dy = d * (g - Q @ dz)
             return dz, dy, (rws + w * dy) / s, (rvt - v * dy) / t
 
         dz, dy, dw, dv = direction(-w * s, -v * t)  # affine predictor
-        ap, ad = _max_step((s, -dy), (t, dy)), _max_step((w, dw), (v, dv))
+        ap, ad = _max_step(s, -dy, t, dy), _max_step(w, dw, v, dv)
         comp_aff = (s - ap * dy) @ (w + ad * dw) + (t + ap * dy) @ (v + ad * dv)
         sigma_mu = (comp_aff / comp) ** 3 * comp / (2 * m)  # centering target
         dz, dy, dw, dv = direction(sigma_mu - w * s + dy * dw, sigma_mu - v * t - dy * dv)
-        ap = _STEP_TO_BOUNDARY * _max_step((s, -dy), (t, dy))
-        ad = _STEP_TO_BOUNDARY * _max_step((w, dw), (v, dv))
+        ap = _STEP_TO_BOUNDARY * _max_step(s, -dy, t, dy)
+        ad = _STEP_TO_BOUNDARY * _max_step(w, dw, v, dv)
         y, s, t = y + ap * dy, s - ap * dy, t + ap * dy
         z, w, v = z + ad * dz, w + ad * dw, v + ad * dv
         r = b - Q @ z

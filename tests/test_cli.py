@@ -536,20 +536,47 @@ def test_sweep_sizes(corpus, samples, tmp_path):
     assert _stages(out) == ["load", "sweep"]
 
 
-def test_sweep_src_trains_no_dictionary(corpus, samples, tmp_path, monkeypatch):
+def test_sweep_src_trains_no_dictionary(corpus, samples, tmp_path, monkeypatch, capsys):
     """src codes over the gallery and an identity block, so its sweep
-    trains no K-SVD dictionary and still writes one row per size."""
+    trains no K-SVD dictionary, codes its probes once and still writes one
+    row and one stderr count line per size."""
     def refuse(*args):
         raise AssertionError("src mode trained a K-SVD dictionary")
 
+    codings, classify_many = [], cli.classify_many
+
+    def counted(*args):
+        codings.append(args)
+        return classify_many(*args)
+
     monkeypatch.setattr(cli, "ksvd_train_with_trace", refuse)
+    monkeypatch.setattr(cli, "classify_many", counted)
     out = tmp_path / "sweep"
+    capsys.readouterr()
     rc = main(["sweep", "--corpus", corpus, "--samples", samples, "--out", str(out),
                "--sizes", "0,2", "--mode", "src"])
     assert rc == 0
+    assert len(codings) == 1
+    counts = _solve_counts(capsys)
+    assert len(counts) == 2 and counts[0] == counts[1]
     with open(out / "sweep.csv") as f:
         lines = f.read().strip().splitlines()
     assert [int(l.split(",")[0]) for l in lines[1:]] == [0, 2]
+    assert lines[1].split(",")[1] == lines[2].split(",")[1]
+
+
+def test_src_mode_reads_no_occdict(corpus, tmp_path):
+    """classify and roc in src mode code over the gallery and an identity
+    block, so an --occdict they cannot read changes nothing."""
+    argv = ["--corpus", corpus, "--mode", "src", "--features", "10x8"]
+    missing = ["--occdict", str(tmp_path / "no_such_occdict")]
+    for command, name in (("classify", "results.csv"), ("roc", "roc.csv")):
+        outputs = []
+        for extra in ([], missing):
+            out = tmp_path / f"{command}{len(extra)}"
+            assert main([command, "--out", str(out)] + argv + extra) == 0
+            outputs.append((out / name).read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from occlucode import (
     spectrum,
 )
 from occlucode.core import FACE, normalize_columns
-from occlucode.dictlearn import OcclusionSampleSet, _omp_code
+from occlucode.dictlearn import OcclusionSampleSet, _omp_codes
 from occlucode.errors import EmptySamplesError, RankDeficientWarning, ZeroPatternError
 
 from conftest import random_dictionary
@@ -184,6 +184,34 @@ def test_sample_set_rejects_non_finite():
 # K-SVD
 
 
+def omp_oracle(D, s, budget, prev_code):
+    """Orthogonal matching pursuit of one sample, with a least-squares refit
+    on the support after every pick and the coder's floor stop, re-pick mask
+    and monotonicity guard."""
+    code = np.zeros(D.shape[1])
+    support = []
+    r = s
+    floor = 1e-10 * np.linalg.norm(s)
+    for _ in range(min(budget, D.shape[1])):
+        corr = np.abs(D.T @ r)
+        corr[support] = 0.0
+        j = int(np.argmax(corr))
+        if corr[j] <= floor:
+            break
+        support.append(j)
+        sol, *_ = np.linalg.lstsq(D[:, support], s, rcond=None)
+        code[support] = sol
+        r = s - D[:, support] @ sol
+    if np.linalg.norm(r) <= np.linalg.norm(s - D @ prev_code):
+        return code
+    return prev_code
+
+
+def _omp_code(D, s, budget, prev_code):
+    """The batched coder on one sample."""
+    return _omp_codes(D, s[:, None], budget, prev_code[:, None])[:, 0]
+
+
 @pytest.mark.parametrize("budget", [1, 2, 4])
 def test_omp_orthonormal_keeps_largest_correlations(rng, budget):
     D, _ = np.linalg.qr(rng.standard_normal((12, 6)))
@@ -228,6 +256,31 @@ def test_omp_guard_keeps_exact_previous_code():
     assert np.linalg.norm(s - D @ greedy) > 0.1
     prev = np.array([1.0, 1.0, 0.0])
     assert np.array_equal(_omp_code(D, s, 2, prev), prev)
+
+
+def test_batched_omp_matches_per_sample_oracle(rng):
+    # atoms 0-2 are test_omp_guard_keeps_exact_previous_code's on rows 0-2,
+    # atoms 3-5 random unit atoms on rows 4-9
+    D = np.zeros((10, 6))
+    D[:3, :3] = [[1.0, 0.0, 1.0 / 1.5], [0.0, 1.0, 1.0 / 1.5], [0.0, 0.0, 0.5 / 1.5]]
+    D[4:, 3:] = normalize_columns(rng.standard_normal((6, 3)))
+    full = rng.standard_normal((10, 3))
+    floor = D[:, 4], -0.5 * D[:, 3]  # one atom each: the residual is rounding
+    guard = D[:, 0] + D[:, 1]  # greedy picks atom 2 first and stays worse
+    S = np.column_stack((full[:, 0], floor[0], guard, full[:, 1], full[:, 2], floor[1]))
+    prev = np.zeros((6, S.shape[1]))
+    prev[:2, 2] = 1.0
+    prev[:, 3] = 0.1  # worse than OMP's code
+    budget = 2
+    codes = _omp_codes(D, S, budget, prev)
+    kinds = []
+    for j in range(S.shape[1]):
+        expect = omp_oracle(D, S[:, j], budget, prev[:, j])
+        assert np.array_equal(np.flatnonzero(codes[:, j]), np.flatnonzero(expect))
+        assert np.allclose(codes[:, j], expect, rtol=0.0, atol=1e-12)
+        kinds.append("guard" if np.array_equal(expect, prev[:, j])
+                     else np.count_nonzero(expect))
+    assert kinds == [2, 1, "guard", 2, 2, 1]
 
 
 def test_ksvd_rank1_recovery(rng):

@@ -7,7 +7,7 @@ import itertools
 
 import numpy as np
 import pytest
-from scipy import sparse
+from scipy import linalg, sparse
 from scipy.optimize import linprog, minimize
 
 from occlucode import (
@@ -726,6 +726,30 @@ def test_lad_gap_above_bound_raises_degenerate(rng, monkeypatch):
     A, b = _lad_instance(rng, "720x4")
     with pytest.raises(DegenerateError, match="duality gap"):
         l1_regression(A, b)
+
+
+def test_lad_lost_factor_ends_at_the_iterate(rng, monkeypatch):
+    """A Newton matrix that dpotrf cannot factor (info > 0) ends the interior
+    point at its iterate, which lad_fit then certifies or rejects."""
+    potrf, infos = linalg.lapack.dpotrf, []
+
+    def recorded(*args, **kwargs):
+        factor, info = potrf(*args, **kwargs)
+        infos.append(info)
+        return factor, info
+
+    monkeypatch.setattr(linalg.lapack, "dpotrf", recorded)
+    A, b = _lad_instance(rng, "six-levels")
+    fit = lad_fit(A, b)
+    assert infos[-1] > 0 and not any(infos[:-1])
+    assert abs(fit.gap) <= LAD_GAP_RTOL * max(1.0, fit.primal)
+    assert fit.primal == pytest.approx(np.abs(b - A @ primal_lad_oracle(A, b)).sum(), rel=1e-9)
+    # lost at the first step, the iterate is the least-squares start with
+    # y = 0, whose gap is its whole objective
+    monkeypatch.setattr(linalg.lapack, "dpotrf", lambda a, **kwargs: (a, 1))
+    A, b = _lad_instance(rng, "720x4")
+    with pytest.raises(DegenerateError, match="duality gap"):
+        lad_fit(A, b)
 
 
 @pytest.mark.parametrize("shift", ["outside-box", "off-null-space"])
