@@ -330,13 +330,13 @@ def run_classification(gallery, occ_dicts, probes, args):
 
 def print_solve_counts(records) -> None:
     """One stderr line that counts the solves that were certified, that hit
-    the floor and that stopped uncertified."""
+    the floor and that stopped uncertified, and the Newton steps they took."""
     outcomes = [o for _, o in records]
     certified = sum(o.converged for o in outcomes)
     floor = sum(o.status == FLOOR for o in outcomes)
     print(f"coded {len(outcomes)} probes: {certified} certified, {floor} at the floor "
-          f"(no code meets eps), {len(outcomes) - certified - floor} uncertified",
-          file=sys.stderr)
+          f"(no code meets eps), {len(outcomes) - certified - floor} uncertified, "
+          f"{sum(o.iterations for o in outcomes)} Newton steps", file=sys.stderr)
 
 
 def classify_corpus(args):

@@ -17,16 +17,19 @@ cone. Its dual is
 A primal-dual interior point with Nesterov-Todd scaling and Mehrotra
 predictor-corrector steps solves both (the coneqp scheme of Vandenberghe,
 "The CVXOPT linear and quadratic cone program solvers", 2010). It starts
-from the least-squares code and a dual point that is exactly feasible, and
-every iterate stays primal and dual feasible, so each report carries a
-certificate: the code meets eps, theta meets the dual constraints, and the
-relative gap between their objectives is at most tol when the solve
-converges. A Newton step costs one Cholesky factorization of an
-(m+1) x (m+1) matrix per vector. Vectors coded against one dictionary move
-together as stacked arrays; a vector that is done keeps its column and
-takes zero steps. No code has a residual below the floor dist(u, range R);
-a vector whose floor reaches eps gets its least-squares code, reported as
-not converged with status FLOOR.
+from the least-squares code and an exactly feasible dual point that is
+centered: the residual cone's complementarity eps z_r is
+sum_b c_b t_b / (nb + 1), on the scale of the block cones' c_b t_b (a
+start far off the central path costs Mehrotra steps). The dual bound reads
+theta alone, so the start moves no certificate. Every iterate stays primal
+and dual feasible, so each report carries a certificate: the code meets
+eps, theta meets the dual constraints, and the relative gap between their
+objectives is at most tol when the solve converges. A Newton step costs
+one Cholesky factorization of an (m+1) x (m+1) matrix per vector. Vectors
+coded against one dictionary move together as stacked arrays; a vector
+that is done keeps its column and takes zero steps. No code has a residual
+below the floor dist(u, range R); a vector whose floor reaches eps gets its
+least-squares code, reported as not converged with status FLOOR.
 
 A second solver performs l1 error fitting (least absolute deviations),
 used by the occlusion-mask estimator: min_x ||b - A x||_1 and its dual LP,
@@ -210,7 +213,10 @@ def _interior_point(R, U, W, starts, weights, eps, tol, max_iters):
     The cones are (t_b, w_b) for each block and (eps, u - R w) for the
     residual; their duals are z_b = (c_b, R_b^T y) and (z_r, y), which
     makes every dual iterate feasible, and the dual bound is that of
-    theta = -y. Eliminating the block cones leaves one (m+1)-dimensional
+    theta = -y. y starts at 0, so any z_r > 0 is feasible; z_r starts at
+    eps z_r = sum_b c_b t_b / (nb + 1), which centers the residual cone's
+    complementarity eps z_r with the block cones' c_b t_b, and the bound
+    does not read it. Eliminating the block cones leaves one (m+1)-dimensional
     system per vector for the step of (z_r, y), with the matrix
     K = W_r^2 + [0 + R E R^T], E_b = eta_b^2 (I + 2 wb_b wb_b^T) the block
     part of the block cone's W^2.
@@ -230,7 +236,8 @@ def _interior_point(R, U, W, starts, weights, eps, tol, max_iters):
     s0 = np.concatenate((np.sqrt(np.add.reduceat(W * W, starts, axis=0)) + 1.0,
                          np.full((1, k), eps)))
     s1 = np.concatenate((W, U - _each(R, W)))
-    z0, z1 = np.concatenate((np.repeat(c, k, axis=1), np.ones((1, k)))), np.zeros((n + m, k))
+    z_r = _col_sum(c * s0[:nb]) / ((nb + 1) * eps)  # the centered start
+    z0, z1 = np.concatenate((np.repeat(c, k, axis=1), z_r[None])), np.zeros((n + m, k))
     steps, frozen = np.zeros(k, dtype=int), np.zeros(k, dtype=bool)
     for step in range(max_iters + 1):
         W, r, y = s1[:n], s1[n:], z1[n:]
@@ -291,11 +298,10 @@ def _newton_factors(R, sc, starts, frozen):
     whose scaling is not finite or whose K is not positive definite."""
     m, n = R.shape
     nb = len(starts)
-    eta, w1 = sc.eta[:nb].repeat(np.diff(starts, append=n), axis=0), sc.w1[:n]
+    eta, w1 = sc.eta[:nb].repeat(sc.cones.sizes[:nb], axis=0), sc.w1[:n]
     if nb == n:  # singleton blocks: E = eta^2 (1 + 2 wb^2) is diagonal
         eta = eta * np.sqrt(1.0 + 2.0 * w1 * w1)
     wr, er2 = np.concatenate((sc.w0[nb:], sc.w1[n:])).T, sc.eta[nb] ** 2  # residual cone
-    signs = np.r_[-1.0, np.ones(m)]
     failed = frozen | ~np.isfinite(sc.eta.sum(axis=0) + sc.w0.sum(axis=0) + sc.w1.sum(axis=0))
     L = np.empty((len(failed), m + 1, m + 1))
     for j in np.flatnonzero(~failed):
@@ -304,9 +310,10 @@ def _newton_factors(R, sc, starts, frozen):
         if nb < n:
             V = np.add.reduceat(A * w1[:, j], starts, axis=1)
             K_low += 2.0 * (V @ V.T)
-        K = (2.0 * er2[j]) * np.outer(wr[j], wr[j])
+        K = (2.0 * er2[j]) * (wr[j][:, None] * wr[j])
         K[1:, 1:] += K_low
-        K.flat[:: m + 2] += er2[j] * signs
+        K.flat[m + 2:: m + 2] += er2[j]
+        K[0, 0] -= er2[j]
         L[j], info = linalg.lapack.dpotrf(K, lower=1, clean=0)
         failed[j] = info != 0
     return L, failed

@@ -411,35 +411,52 @@ def test_classify_deterministic(corpus, occdict, tmp_path):
 
 
 SOLVE_COUNTS = re.compile(r"coded (\d+) probes: (\d+) certified, (\d+) at the floor "
-                         r"\(no code meets eps\), (\d+) uncertified")
+                         r"\(no code meets eps\), (\d+) uncertified, (\d+) Newton steps")
 
 
 def _solve_counts(capsys):
-    """(probes, certified, at the floor, uncertified) of each stderr line."""
+    """(probes, certified, at the floor, uncertified, Newton steps) of each
+    stderr line."""
     return [tuple(map(int, found)) for found in SOLVE_COUNTS.findall(capsys.readouterr().err)]
 
 
-def test_classify_reports_solve_counts_on_stderr(corpus, occdict, samples, tmp_path, capsys):
+def test_classify_reports_solve_counts_on_stderr(corpus, occdict, samples, tmp_path, capsys,
+                                                 monkeypatch):
+    outcomes, run_classification = [], cli.run_classification
+
+    def recorded(*args):  # the outcomes of each classification, in order
+        records = run_classification(*args)
+        outcomes.append([o for _, o in records])
+        return records
+
+    def steps():
+        return sum(o.iterations for o in outcomes[-1])
+
+    monkeypatch.setattr(cli, "run_classification", recorded)
     common = ["--corpus", corpus, "--occdict", occdict, "--mode", "structured"]
     capsys.readouterr()
     assert main(["classify", "--out", str(tmp_path / "a")] + common) == 0
-    ((n, certified, floor, uncertified),) = _solve_counts(capsys)
+    ((n, certified, floor, uncertified, total),) = _solve_counts(capsys)
     with open(tmp_path / "a" / "results.csv") as f:
         assert n == len(f.read().strip().splitlines()) - 1
     assert certified + floor + uncertified == n and certified > 0
+    assert total == steps() > 0
     # a single Newton step certifies no solve; the floor does not depend on it
     assert main(["classify", "--out", str(tmp_path / "b"), "--max-iters", "1"] + common) == 0
-    assert _solve_counts(capsys) == [(n, 0, floor, n - floor)]
+    assert _solve_counts(capsys) == [(n, 0, floor, n - floor, n - floor)]
+    assert steps() == n - floor
     # no code of the few gallery and occlusion atoms comes within 1e-6 of a
     # noisy probe
     assert main(["classify", "--out", str(tmp_path / "c"), "--epsilon", "1e-6"] + common) == 0
-    assert _solve_counts(capsys) == [(n, 0, n, 0)]
+    assert _solve_counts(capsys) == [(n, 0, n, 0, 0)]
     # roc codes once; a sweep once per size
     assert main(["roc", "--out", str(tmp_path / "d")] + common) == 0
-    assert _solve_counts(capsys) == [(n, certified, floor, uncertified)]
+    assert _solve_counts(capsys) == [(n, certified, floor, uncertified, total)]
     assert main(["sweep", "--corpus", corpus, "--samples", samples, "--out",
                  str(tmp_path / "e"), "--sizes", "0,2", "--iterations", "5"]) == 0
-    assert [counts[0] for counts in _solve_counts(capsys)] == [n, n]
+    counts = _solve_counts(capsys)
+    assert [c[0] for c in counts] == [n, n]
+    assert [c[4] for c in counts] == [sum(o.iterations for o in run) for run in outcomes[-2:]]
 
 
 def test_classify_src_mode(corpus, tmp_path):

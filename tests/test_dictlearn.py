@@ -258,6 +258,24 @@ def test_omp_guard_keeps_exact_previous_code():
     assert np.array_equal(_omp_code(D, s, 2, prev), prev)
 
 
+def test_omp_never_picks_an_atom_twice(rng):
+    # atoms 0 and 1 are 3e-7 apart on rows 0-5, atoms 2 and 3 random on rows
+    # 6-11. Refitting a0 - a1 on both leaves their correlations with the
+    # residual at rounding noise above the floor, while atoms 2 and 3
+    # correlate exactly 0: only the re-pick mask stops a third pick, of an
+    # atom already in the support
+    angle = 3e-7
+    a, b = np.linalg.qr(rng.standard_normal((6, 2)))[0].T
+    D = np.zeros((12, 4))
+    D[:6, 0], D[:6, 1] = a, np.cos(angle) * a + np.sin(angle) * b
+    D[6:, 2:] = normalize_columns(rng.standard_normal((6, 2)))
+    S = normalize_columns(np.column_stack((D[:, 0] - D[:, 1], D[:, 2] + D[:, 3],
+                                           D[:, 1] - D[:, 0])))
+    codes = _omp_codes(D, S, 3, np.zeros((4, 3)))
+    assert np.all(np.isfinite(codes))
+    assert [np.flatnonzero(code).tolist() for code in codes.T] == [[0, 1], [2, 3], [0, 1]]
+
+
 def test_batched_omp_matches_per_sample_oracle(rng):
     # atoms 0-2 are test_omp_guard_keeps_exact_previous_code's on rows 0-2,
     # atoms 3-5 random unit atoms on rows 4-9
